@@ -3,11 +3,7 @@
 //! This isolates the enumeration machinery from the DC-specific plumbing.
 
 use adc_data::FixedBitSet;
-use adc_hitting::{
-    approx::approx_minimal_hitting_sets, mmcs::minimal_hitting_sets,
-    mmcs::search_minimal_hitting_sets, ApproxEnumConfig, BranchStrategy, SearchBudget, SearchOrder,
-    SetSystem,
-};
+use adc_hitting::{ApproxEnumConfig, BranchStrategy, Search, SearchBudget, SetSystem};
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,6 +40,11 @@ fn coverage_score(system: &SetSystem) -> impl Fn(&FixedBitSet) -> f64 + '_ {
     }
 }
 
+/// Run `search` under `budget` and count the emitted sets.
+fn count(search: Search<'_>, system: &SetSystem, budget: SearchBudget) -> usize {
+    search.run(system, budget, |_| true).0.emitted
+}
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("hitting_sets");
     group.sample_size(10);
@@ -52,31 +53,19 @@ fn bench(c: &mut Criterion) {
     // Unbudgeted DFS takes the in-place undo walk (the recursive kernel's
     // cost profile); forcing any budget falls back to the explicit snapshot
     // frontier, so the pair measures exactly what the undo hybrid reclaims.
+    let exact = Search::exact().with_strategy(BranchStrategy::MinIntersection);
     group.bench_function("mmcs_exact", |b| {
-        b.iter(|| minimal_hitting_sets(&system, BranchStrategy::MinIntersection).len())
+        b.iter(|| count(exact.clone(), &system, SearchBudget::unlimited()))
     });
     group.bench_function("mmcs_exact_engine", |b| {
-        b.iter(|| {
-            let mut count = 0usize;
-            search_minimal_hitting_sets(
-                &system,
-                BranchStrategy::MinIntersection,
-                SearchOrder::Dfs,
-                SearchBudget::unlimited().with_max_nodes(u64::MAX),
-                &mut |_: &FixedBitSet| {
-                    count += 1;
-                    true
-                },
-            );
-            count
-        })
+        let forced = SearchBudget::unlimited().with_max_nodes(u64::MAX);
+        b.iter(|| count(exact.clone(), &system, forced))
     });
     for epsilon in [0.0, 0.05, 0.15] {
         group.bench_function(format!("approx_eps_{epsilon}"), |b| {
             let score = coverage_score(&system);
-            b.iter(|| {
-                approx_minimal_hitting_sets(&system, &score, &ApproxEnumConfig::new(epsilon)).len()
-            })
+            let search = Search::approx(&score, ApproxEnumConfig::new(epsilon));
+            b.iter(|| count(search.clone(), &system, SearchBudget::unlimited()))
         });
     }
     group.finish();

@@ -5,7 +5,7 @@
 //! single run with the same limits. CI runs this in release mode at
 //! `ADC_BENCH_ROWS=10000` so neither behaviour can silently regress.
 //!
-//! Three enumerations per dataset, over one shared evidence set:
+//! Three mining runs per dataset:
 //!
 //! 1. **Deadline smoke** — node budget + wall-clock deadline + DC cap; the
 //!    process exits non-zero if the enumeration overruns the deadline or the
@@ -13,10 +13,11 @@
 //! 2. **Reference** — the same limits minus the deadline (wall-clock cuts
 //!    are not reproducible), run once.
 //! 3. **Sliced** — the same limits executed as node-budget slices
-//!    (`max_nodes / 4` each) resumed via the opaque token until the node
-//!    budget, the DC cap, or exhaustion. The concatenated DCs must be
-//!    byte-identical to the reference's, and when the reference finished
-//!    exhaustively the final slice must report no truncation.
+//!    (`max_nodes / 4` each) resumed through `AdcMiner::resume`
+//!    ([`run_miner_sliced`]) until the node budget, the DC cap, or
+//!    exhaustion. The concatenated DCs must be byte-identical to the
+//!    reference's, and when the reference finished exhaustively the final
+//!    slice must report no truncation.
 //!
 //! Environment variables: the usual `ADC_BENCH_ROWS` / `ADC_BENCH_DATASETS` /
 //! `ADC_BENCH_THREADS`, plus `ADC_BUDGET_NODES` (default 100 000),
@@ -29,14 +30,14 @@
 //! error — used by CI on a small-space dataset to guarantee the
 //! truncation-free completion path is exercised).
 
-use adc_approx::F1ViolationRate;
 use adc_bench::{
-    bench_datasets, bench_relation, build_evidence, parsed_env, secs, write_report, Json, Table,
+    bench_config, bench_datasets, bench_relation, parsed_env, run_miner_sliced, secs, write_report,
+    Json, Table,
 };
-use adc_core::{enumerate_adcs, resume_adcs, EnumerationOptions, SearchBudget, SearchOrder};
+use adc_core::{AdcMiner, SearchBudget, SearchOrder};
 use adc_datasets::{targeted_spread_noise, NoiseConfig};
-use adc_predicates::{DenialConstraint, PredicateSpace, SpaceConfig};
-use std::time::{Duration, Instant};
+use adc_predicates::DenialConstraint;
+use std::time::Duration;
 
 fn ids(dcs: &[DenialConstraint]) -> Vec<Vec<usize>> {
     dcs.iter().map(|d| d.predicate_ids().to_vec()).collect()
@@ -70,20 +71,20 @@ fn main() {
             &NoiseConfig::with_rate(0.002),
             0xBAD,
         );
-        let space = PredicateSpace::build(&dirty, SpaceConfig::default());
-        let evidence = build_evidence(&dirty, &space, false);
-
-        let base = EnumerationOptions::new(epsilon).with_order(SearchOrder::ShortestFirst);
+        let base = bench_config(epsilon)
+            .with_order(SearchOrder::ShortestFirst)
+            .with_max_dcs(max_dcs);
 
         // 1. Deadline smoke: everything budgeted at once.
-        let mut smoke_options = base;
-        smoke_options.max_dcs = Some(max_dcs);
-        smoke_options.budget = SearchBudget::unlimited()
-            .with_max_nodes(max_nodes)
-            .with_deadline(deadline);
-        let clock = Instant::now();
-        let smoke = enumerate_adcs(&space, &evidence, &F1ViolationRate, &smoke_options);
-        let smoke_time = clock.elapsed();
+        let smoke = AdcMiner::new(
+            base.with_budget(
+                SearchBudget::unlimited()
+                    .with_max_nodes(max_nodes)
+                    .with_deadline(deadline),
+            ),
+        )
+        .mine(&dirty);
+        let smoke_time = smoke.timings.enumeration;
         // The deadline is checked per node pop *and* inside wide expansions,
         // so allow a generous constant for one in-flight step.
         let overran = smoke_time > deadline + Duration::from_secs(10);
@@ -95,60 +96,20 @@ fn main() {
         }
 
         // 2. Reference: same limits, no deadline (not reproducible), one run.
-        let mut reference_options = base;
-        reference_options.max_dcs = Some(max_dcs);
-        reference_options.budget = SearchBudget::unlimited().with_max_nodes(max_nodes);
-        let reference = enumerate_adcs(&space, &evidence, &F1ViolationRate, &reference_options);
-        if reference.truncation.is_none() {
-            // Exhausted within the node budget: the sliced replay below must
-            // also end truncation-free.
-        } else if require_complete {
+        let reference_config =
+            base.with_budget(SearchBudget::unlimited().with_max_nodes(max_nodes));
+        let reference = AdcMiner::new(reference_config).mine(&dirty);
+        if reference.truncation.is_some() && require_complete {
             incomplete_refs += 1;
         }
 
         // 3. Resume-in-slices: cut every `slice_nodes` nodes, resume from
-        //    the opaque token, stop at the same overall limits. The raw-
-        //    cover emission cap (`enumerate_adcs` gives `max_dcs` 4×
-        //    headroom for filtered trivial/empty covers) is carried as an
-        //    *accumulated* budget so a resumed slice cannot outrun the
-        //    reference on fresh headroom.
+        //    the token, stop at the same overall limits.
         let slice_nodes: u64 =
             parsed_env("ADC_BUDGET_SLICE_NODES").unwrap_or((max_nodes / 4).max(1));
-        let cover_cap = max_dcs.saturating_mul(4).max(max_dcs);
-        let mut dcs: Vec<DenialConstraint> = Vec::new();
-        let mut nodes_used: u64 = 0;
-        let mut covers_emitted: u64 = 0;
-        let mut slices = 0usize;
-        let mut resume_token = None;
-        let mut last_truncation = None;
-        loop {
-            let remaining_nodes = max_nodes.saturating_sub(nodes_used);
-            let remaining_dcs = max_dcs.saturating_sub(dcs.len());
-            let remaining_covers = (cover_cap as u64).saturating_sub(covers_emitted);
-            if remaining_nodes == 0 || remaining_dcs == 0 || remaining_covers == 0 {
-                break;
-            }
-            let mut slice_options = base;
-            slice_options.max_dcs = Some(remaining_dcs);
-            slice_options.budget = SearchBudget::unlimited()
-                .with_max_nodes(slice_nodes.min(remaining_nodes))
-                .with_max_emitted(remaining_covers as usize);
-            let mut outcome = match resume_token.take() {
-                None => enumerate_adcs(&space, &evidence, &F1ViolationRate, &slice_options),
-                Some(token) => {
-                    resume_adcs(&space, &evidence, &F1ViolationRate, &slice_options, token)
-                }
-            };
-            slices += 1;
-            nodes_used += outcome.stats.recursive_calls;
-            covers_emitted += outcome.stats.emitted;
-            dcs.append(&mut outcome.dcs);
-            last_truncation = outcome.truncation;
-            match outcome.resume {
-                Some(token) => resume_token = Some(token),
-                None => break,
-            }
-        }
+        let (sliced, slices) = run_miner_sliced(&dirty, reference_config, slice_nodes);
+        let last_truncation = sliced.truncation;
+        let dcs = sliced.dcs;
 
         let reference_ids = ids(&reference.dcs);
         let sliced_ids = ids(&dcs);
@@ -178,7 +139,7 @@ fn main() {
         table.add_row(vec![
             generator.name().to_string(),
             smoke.dcs.len().to_string(),
-            smoke.stats.recursive_calls.to_string(),
+            smoke.enum_stats.recursive_calls.to_string(),
             secs(smoke_time),
             if overran {
                 format!("{truncation} — DEADLINE OVERRUN")

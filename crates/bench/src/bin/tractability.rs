@@ -48,11 +48,8 @@ fn main() {
         let golden = generator.golden_dcs(&result.space);
         let recall = g_recall(&result.dcs, &golden);
         let count = match result.truncation {
-            // The cap filled: the true frontier is larger than shown.
-            Some(_) if result.dcs.len() >= cap => format!(">{cap}"),
-            // Cut early by the raw-cover headroom (mostly-trivial covers):
-            // the run stopped with fewer than `cap` minimal ADCs in hand.
-            Some(_) => format!("≥{} (cut)", result.dcs.len()),
+            // The (exact) cap filled: the true frontier is larger than shown.
+            Some(_) => format!(">{cap}"),
             None => result.dcs.len().to_string(),
         };
         rows_json.push(object(vec![

@@ -314,8 +314,7 @@ pub fn run_miner(relation: &Relation, config: MinerConfig) -> MiningResult {
 /// guarantee — identical in DCs to a single run with the same
 /// configuration: `config.max_dcs` is enforced on the *accumulated* DC
 /// count, `config.budget.max_nodes` on the accumulated node count,
-/// `config.budget.max_emitted` (and the miner's internal 4× raw-cover
-/// headroom over `max_dcs`) on the accumulated raw-cover count, and
+/// `config.budget.max_emitted` on the accumulated raw-cover count, and
 /// `config.budget.deadline` on the wall clock across all slices (each
 /// slice otherwise runs node-bounded, so the deadline can only be overshot
 /// by one slice — wall-clock cuts are the one knob that is inherently not
@@ -328,18 +327,10 @@ pub fn run_miner_sliced(
     let clock = Instant::now();
     let slice_nodes = slice_nodes.max(1);
     let overall = config.budget;
-    // The single run stops emitting raw covers at the earliest of its own
-    // `budget.max_emitted` and the miner's 4× headroom over `max_dcs`
-    // (`enumerate_adcs`). Replicate that as an *accumulated* cap so a
-    // sliced run cannot outrun the single run it replays: each resumed
-    // slice would otherwise get fresh headroom.
-    let headroom = |max: usize| max.saturating_mul(4).max(max);
-    let emitted_cap: Option<u64> = match (overall.max_emitted, config.max_dcs) {
-        (Some(budget_cap), Some(dcs)) => Some((budget_cap.min(headroom(dcs))) as u64),
-        (Some(budget_cap), None) => Some(budget_cap as u64),
-        (None, Some(dcs)) => Some(headroom(dcs) as u64),
-        (None, None) => None,
-    };
+    // Every limit is enforced on the accumulated count, so a sliced run
+    // cannot outrun the single run it replays: each resumed slice would
+    // otherwise get a fresh allowance.
+    let emitted_cap: Option<u64> = overall.max_emitted.map(|cap| cap as u64);
     let slice_budget = |nodes_used: u64, covers_emitted: u64| {
         let remaining = overall
             .max_nodes

@@ -6,16 +6,16 @@
 //! every evidence set. The generic enumerator of `adc-hitting` therefore
 //! enumerates minimal approximate hitting sets `X` over the predicate
 //! universe; this module turns each `X` into the DC whose predicate set is
-//! the element-wise complement of `X`, and filters out the degenerate
-//! outputs (the empty constraint and trivially valid constraints).
+//! the element-wise complement of `X`. Structure-group suppression inside the
+//! search keeps trivially valid constraints from being emitted at all; only
+//! the uninformative empty constraint is dropped here.
 
 use adc_approx::{ApproxContext, ApproximationFunction};
 use adc_data::FixedBitSet;
 use adc_evidence::Evidence;
 use adc_hitting::{
-    resume_approx_minimal_hitting_sets, search_approx_minimal_hitting_sets_resumable,
-    ApproxEnumConfig, ApproxEnumStats, BranchStrategy, SearchBudget, SearchOrder, SetSystem,
-    SuspendedSearch, TruncationReason,
+    ApproxEnumConfig, ApproxEnumStats, BranchStrategy, Search, SearchBudget, SearchOrder,
+    SetSystem, SuspendedSearch, TruncationReason,
 };
 use adc_predicates::{DenialConstraint, PredicateSpace};
 use std::fmt;
@@ -25,14 +25,11 @@ use std::fmt;
 /// (complete) answer set from an anytime prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TruncationInfo {
-    /// What stopped the search: the DC cap, a node/deadline budget, or the
-    /// caller's callback. [`TruncationReason::MaxEmitted`] means the
-    /// result-cap machinery fired; when the result holds *fewer* than
-    /// `max_dcs` DCs, it was the raw-cover headroom (the engine emits up to
-    /// `4 × max_dcs` hitting sets to leave room for trivial/empty covers
-    /// that are filtered out) or a caller-set `budget.max_emitted` rather
-    /// than the DC cap itself — compare `stats.emitted` with the DC count
-    /// to see how many covers the filter dropped.
+    /// What stopped the search: a node or deadline budget, or the result
+    /// cap ([`TruncationReason::MaxEmitted`]) — the smaller of `max_dcs` and
+    /// `budget.max_emitted`. Every emitted cover is one returned DC (see
+    /// [`enumerate_adcs`]), so a run cut by the result cap holds exactly
+    /// that many DCs.
     pub reason: TruncationReason,
     /// Under [`SearchOrder::ShortestFirst`]: every minimal ADC with strictly
     /// fewer predicates than this was emitted — the returned DCs contain the
@@ -56,35 +53,6 @@ impl fmt::Display for TruncationInfo {
     }
 }
 
-/// Opaque resume token of a budget- or cap-cut enumeration: the engine's
-/// entire pending frontier plus its cumulative counters. Hand it back to
-/// [`resume_adcs`] (with the same space, evidence, function, and options) to
-/// continue the run exactly where it stopped — the concatenated DC sequence
-/// across slices equals the sequence of a single uncut run.
-#[derive(Debug, Clone)]
-pub struct EnumerationResume {
-    suspended: SuspendedSearch,
-}
-
-impl EnumerationResume {
-    /// Number of pending search nodes the token holds (a proxy for its
-    /// memory footprint).
-    pub fn frontier_len(&self) -> usize {
-        self.suspended.frontier_len()
-    }
-
-    /// Raw hitting-set covers emitted so far across every slice (including
-    /// covers filtered out as trivial/empty DCs).
-    pub fn total_covers_emitted(&self) -> usize {
-        self.suspended.total_emitted()
-    }
-
-    /// Search nodes expanded so far across every slice.
-    pub fn total_nodes_expanded(&self) -> u64 {
-        self.suspended.total_nodes_expanded()
-    }
-}
-
 /// Result of one enumeration run.
 #[derive(Debug, Clone)]
 pub struct EnumerationOutcome {
@@ -95,9 +63,11 @@ pub struct EnumerationOutcome {
     /// `None` when the enumeration was exhaustive; `Some` when the DC cap or
     /// the search budget cut it short.
     pub truncation: Option<TruncationInfo>,
-    /// Present exactly when the run was truncated: the token [`resume_adcs`]
-    /// continues from.
-    pub resume: Option<EnumerationResume>,
+    /// Present exactly when the run was truncated: the engine's pending
+    /// frontier, which [`run_adcs`] continues from (with the same space,
+    /// evidence, function, and options). Callers reach it through
+    /// `AdcMiner::resume`, which keeps the evidence the token belongs to.
+    pub(crate) resume: Option<SuspendedSearch>,
 }
 
 /// Options for [`enumerate_adcs`].
@@ -154,6 +124,11 @@ impl EnumerationOptions {
 /// `evidence` must have been built over `space` (same predicate universe).
 /// If `f` requires the `vios` index (`f2`, `f3`), the evidence must have been
 /// built with `track_vios = true`.
+///
+/// Every cover the search emits is returned as one DC, so `max_dcs` is an
+/// exact cap: a capped run returns the first `min(max_dcs, |answer|)` DCs of
+/// the uncapped run's emission sequence. Budget-cut runs resume through
+/// `AdcMiner::resume`.
 pub fn enumerate_adcs(
     space: &PredicateSpace,
     evidence: &Evidence,
@@ -163,27 +138,11 @@ pub fn enumerate_adcs(
     run_adcs(space, evidence, f, options, None, None)
 }
 
-/// Like [`enumerate_adcs`], but also captures every **raw hitting-set
-/// cover** the engine emits — including the empty cover and covers whose DC
-/// is trivial, both of which [`enumerate_adcs`] filters out before they
-/// reach the result. The differential monitor needs the unfiltered answer
-/// set: `adc_hitting::repair_covers` is exact only when handed the complete
-/// transversal family, and a trivial cover can graft into a non-trivial one
-/// when the system grows.
-pub(crate) fn enumerate_adcs_capturing(
-    space: &PredicateSpace,
-    evidence: &Evidence,
-    f: &dyn ApproximationFunction,
-    options: &EnumerationOptions,
-    covers: &mut Vec<FixedBitSet>,
-) -> EnumerationOutcome {
-    run_adcs(space, evidence, f, options, None, Some(covers))
-}
-
-/// Convert one raw hitting-set cover into its denial constraint, applying
-/// the same filter as [`enumerate_adcs`]: `None` for the empty cover (the
-/// uninformative `¬true`) and for covers whose complement DC is trivially
-/// valid.
+/// Convert one raw hitting-set cover into its denial constraint: `None` for
+/// the empty cover (the uninformative `¬true`) and for covers whose
+/// complement DC is trivially valid. The grouped enumeration never emits the
+/// latter, but the monitor's cover repair runs without structure groups and
+/// does.
 pub(crate) fn cover_to_dc(space: &PredicateSpace, cover: &FixedBitSet) -> Option<DenialConstraint> {
     if cover.is_empty() {
         return None;
@@ -196,31 +155,18 @@ pub(crate) fn cover_to_dc(space: &PredicateSpace, cover: &FixedBitSet) -> Option
     }
 }
 
-/// Continue an enumeration cut short by a budget, the DC cap, or the
-/// caller's callback, from the token carried by
-/// [`EnumerationOutcome::resume`].
-///
-/// The space, evidence, approximation function, and the problem-defining
-/// options (`epsilon`, `strategy`, `will_cover_pruning`, `order`) must be
-/// identical to the original run's; `options.budget` and `options.max_dcs`
-/// apply to this slice alone. Under those conditions the concatenation of
-/// the slices' DC sequences equals the sequence of a single uncut run.
-pub fn resume_adcs(
+/// The enumeration behind [`enumerate_adcs`], `AdcMiner::resume`, and the
+/// monitor's restart path. Continues the run `resume` was cut from when
+/// given (`options.budget` and `options.max_dcs` then apply to this slice
+/// alone), and copies every raw cover the engine emits into `capture` when
+/// given: the monitor's cover repair is exact only when handed the complete
+/// transversal family, the empty cover included.
+pub(crate) fn run_adcs(
     space: &PredicateSpace,
     evidence: &Evidence,
     f: &dyn ApproximationFunction,
     options: &EnumerationOptions,
-    resume: EnumerationResume,
-) -> EnumerationOutcome {
-    run_adcs(space, evidence, f, options, Some(resume.suspended), None)
-}
-
-fn run_adcs(
-    space: &PredicateSpace,
-    evidence: &Evidence,
-    f: &dyn ApproximationFunction,
-    options: &EnumerationOptions,
-    suspended: Option<SuspendedSearch>,
+    resume: Option<SuspendedSearch>,
     mut capture: Option<&mut Vec<FixedBitSet>>,
 ) -> EnumerationOutcome {
     let evidence_set = &evidence.evidence_set;
@@ -237,19 +183,6 @@ fn run_adcs(
         .collect();
     let system = SetSystem::new(space.len(), subsets);
 
-    let groups: Vec<usize> = (0..space.len()).map(|i| space.group_of(i)).collect();
-    let mut config = ApproxEnumConfig::new(options.epsilon)
-        .with_strategy(options.strategy)
-        .with_will_cover_pruning(options.will_cover_pruning)
-        .with_element_groups(&groups)
-        .with_order(options.order)
-        .with_budget(options.budget);
-    if let Some(max) = options.max_dcs {
-        // Leave headroom for filtered-out trivial/empty sets; the exact DC
-        // cap is enforced in the callback below.
-        config = config.with_max_results(max.saturating_mul(4).max(max));
-    }
-
     let ctx = match (f.requires_vios(), evidence.vios.as_ref()) {
         (true, Some(vios)) => ApproxContext::with_vios(evidence_set, vios),
         // conformance: allow(panic) — configuration precondition with an explanatory message; a typed error here would just be rethrown by every harness caller
@@ -260,57 +193,50 @@ fn run_adcs(
         (false, _) => ApproxContext::new(evidence_set),
     };
     let score = |hitting_set: &FixedBitSet| f.score(&ctx, hitting_set);
+    let groups: Vec<usize> = (0..space.len()).map(|i| space.group_of(i)).collect();
+    let config = ApproxEnumConfig::new(options.epsilon)
+        .with_will_cover_pruning(options.will_cover_pruning)
+        .with_element_groups(&groups);
+    let search = Search::approx(&score, config)
+        .with_strategy(options.strategy)
+        .with_order(options.order);
+    let search = match resume {
+        Some(token) => search.with_resume(token),
+        None => search,
+    };
 
+    // The DC cap is the engine's emission cap, exactly. Group suppression
+    // lets at most one predicate of each structure group into a cover, and
+    // a DC is trivial only through two predicates of one group, so no
+    // emitted cover maps to a trivial DC. The empty cover is emitted only as
+    // the root's sole answer (every other node with `S = ∅` scores like the
+    // root), so no later DC is ever displaced by it.
+    let mut budget = options.budget;
+    if let Some(max) = options.max_dcs {
+        budget.max_emitted = Some(budget.max_emitted.map_or(max, |cap| cap.min(max)));
+    }
     let mut dcs = Vec::new();
-    let mut callback = |hitting_set: &FixedBitSet| {
+    let (outcome, next) = search.run(&system, budget, |cover| {
         if let Some(covers) = capture.as_deref_mut() {
-            covers.push(hitting_set.clone());
+            covers.push(cover.clone());
         }
-        if hitting_set.is_empty() {
-            // The empty DC (`¬true`) carries no information.
-            return true;
-        }
-        let dc =
-            DenialConstraint::new(hitting_set.iter().map(|e| space.complement_of(e)).collect());
-        if !dc.is_trivial(space) {
-            dcs.push(dc);
-        }
-        match options.max_dcs {
-            Some(max) => dcs.len() < max,
-            None => true,
-        }
-    };
-    let (stats, search_outcome, next_suspended) = match suspended {
-        None => {
-            search_approx_minimal_hitting_sets_resumable(&system, score, &config, &mut callback)
-        }
-        Some(token) => {
-            resume_approx_minimal_hitting_sets(&system, score, &config, token, &mut callback)
-        }
-    };
-
-    let truncation = search_outcome.truncation.map(|t| TruncationInfo {
-        // The DC cap stops the search through the callback; relabel that as
-        // the result cap it is, so callers need not know the mechanism.
-        // `MaxEmitted` can also arrive straight from the engine when the
-        // raw-cover headroom above (or a caller-set `budget.max_emitted`)
-        // fires before `max_dcs` non-trivial DCs accumulate — in that case
-        // `dcs.len() < max_dcs`, and `stats.emitted` vs `dcs.len()` shows
-        // how many raw covers were filtered as trivial/empty.
-        reason: match (t.reason, options.max_dcs) {
-            (TruncationReason::Callback, Some(max)) if dcs.len() >= max => {
-                TruncationReason::MaxEmitted
-            }
-            (reason, _) => reason,
-        },
-        complete_below_size: t.complete_below,
+        let dc = cover_to_dc(space, cover);
+        debug_assert!(
+            dc.is_some() || cover.is_empty(),
+            "group suppression let a trivial cover through"
+        );
+        dcs.extend(dc);
+        true
     });
 
     EnumerationOutcome {
         dcs,
-        stats,
-        truncation,
-        resume: next_suspended.map(|suspended| EnumerationResume { suspended }),
+        stats: outcome.into(),
+        truncation: outcome.truncation.map(|t| TruncationInfo {
+            reason: t.reason,
+            complete_below_size: t.complete_below,
+        }),
+        resume: next,
     }
 }
 
@@ -659,7 +585,14 @@ mod tests {
             while let Some(token) = sliced.resume.take() {
                 slices += 1;
                 assert!(slices < 10_000, "runaway resume loop");
-                sliced = resume_adcs(&space, &evidence, &F1ViolationRate, &slice_options, token);
+                sliced = run_adcs(
+                    &space,
+                    &evidence,
+                    &F1ViolationRate,
+                    &slice_options,
+                    Some(token),
+                    None,
+                );
                 dcs.extend(std::mem::take(&mut sliced.dcs));
             }
             assert!(slices > 2, "the slice budget never fired ({order:?})");

@@ -49,10 +49,7 @@ pub mod miner;
 pub mod monitor;
 pub mod sampling;
 
-pub use enumeration::{
-    enumerate_adcs, resume_adcs, EnumerationOptions, EnumerationOutcome, EnumerationResume,
-    TruncationInfo,
-};
+pub use enumeration::{enumerate_adcs, EnumerationOptions, EnumerationOutcome, TruncationInfo};
 pub use metrics::{f1_score, g_recall, DcSetComparison};
 pub use miner::{AdcMiner, EvidenceStrategy, MinerConfig, MiningResult, MiningResume, Timings};
 pub use monitor::{AdcMonitor, DeltaStats, MonitorError, RefreshPath};

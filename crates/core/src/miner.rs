@@ -1,8 +1,6 @@
 //! The end-to-end `ADCMiner` pipeline (Figure 1 of the paper).
 
-use crate::enumeration::{
-    enumerate_adcs, resume_adcs, EnumerationOptions, EnumerationResume, TruncationInfo,
-};
+use crate::enumeration::{enumerate_adcs, run_adcs, EnumerationOptions, TruncationInfo};
 use crate::sampling;
 use adc_approx::{ApproxKind, ApproximationFunction, SampleAdjustedF1};
 use adc_data::Relation;
@@ -10,7 +8,7 @@ use adc_evidence::{
     ClusterEvidenceBuilder, Evidence, EvidenceBuilder, NaiveEvidenceBuilder,
     ParallelEvidenceBuilder, SweepEvidenceBuilder,
 };
-use adc_hitting::{ApproxEnumStats, BranchStrategy, SearchBudget, SearchOrder};
+use adc_hitting::{ApproxEnumStats, BranchStrategy, SearchBudget, SearchOrder, SuspendedSearch};
 use adc_predicates::{DenialConstraint, PredicateSpace, SpaceConfig};
 use std::time::{Duration, Instant};
 
@@ -233,7 +231,7 @@ pub struct MiningResume {
     space: PredicateSpace,
     evidence: Evidence,
     mined_tuples: usize,
-    enumeration: EnumerationResume,
+    enumeration: SuspendedSearch,
 }
 
 impl MiningResume {
@@ -244,7 +242,7 @@ impl MiningResume {
         space: PredicateSpace,
         evidence: Evidence,
         mined_tuples: usize,
-        enumeration: EnumerationResume,
+        enumeration: SuspendedSearch,
     ) -> Self {
         MiningResume {
             space,
@@ -401,7 +399,14 @@ impl AdcMiner {
         let t = Instant::now();
         let function = self.approximation_function();
         let options = self.enumeration_options();
-        let outcome = resume_adcs(&space, &evidence, function.as_ref(), &options, enumeration);
+        let outcome = run_adcs(
+            &space,
+            &evidence,
+            function.as_ref(),
+            &options,
+            Some(enumeration),
+            None,
+        );
         let enumeration_time = t.elapsed();
 
         let distinct_evidence = evidence.evidence_set.distinct_count();
@@ -593,7 +598,7 @@ mod tests {
     fn max_dcs_is_respected() {
         let r = tax_relation(40, 1, 9);
         let result = AdcMiner::new(MinerConfig::new(0.1).with_max_dcs(2)).mine(&r);
-        assert!(result.dcs.len() <= 2);
+        assert_eq!(result.dcs.len(), 2);
     }
 
     #[test]

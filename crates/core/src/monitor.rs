@@ -48,11 +48,13 @@
 //! [`MonitorError::RebuildRequired`] instead of answering a question the
 //! live data no longer asks.
 
-use crate::enumeration::{cover_to_dc, enumerate_adcs_capturing, TruncationInfo};
+use crate::enumeration::{cover_to_dc, run_adcs, TruncationInfo};
 use crate::miner::{AdcMiner, MinerConfig, MiningResult, MiningResume, Timings};
 use adc_data::{DataError, FixedBitSet, Relation, Value};
 use adc_evidence::DeltaEvidenceBuilder;
-use adc_hitting::{repair_covers, repair_covers_removal, ApproxEnumStats, SetSystem};
+use adc_hitting::{
+    repair_covers, repair_covers_removal, ApproxEnumStats, SetSystem, SuspendedSearch,
+};
 use adc_predicates::{PredicateSpace, SpaceDrift, SpaceDriftTracker};
 use std::fmt;
 use std::time::Instant;
@@ -490,12 +492,13 @@ impl AdcMonitor {
                 let function = self.miner.approximation_function();
                 let evidence = self.builder.snapshot();
                 let mut covers = Vec::new();
-                let outcome = enumerate_adcs_capturing(
+                let outcome = run_adcs(
                     &self.space,
                     &evidence,
                     function.as_ref(),
                     &options,
-                    &mut covers,
+                    None,
+                    Some(&mut covers),
                 );
                 canonical_sort(&mut covers);
                 let reopened = covers.len();
@@ -554,10 +557,7 @@ impl AdcMonitor {
         covers: Vec<FixedBitSet>,
         truncation: Option<TruncationInfo>,
         enum_stats: ApproxEnumStats,
-        resume_parts: Option<(
-            adc_evidence::Evidence,
-            crate::enumeration::EnumerationResume,
-        )>,
+        resume_parts: Option<(adc_evidence::Evidence, SuspendedSearch)>,
         evidence_time: std::time::Duration,
         enumeration_time: std::time::Duration,
     ) -> MiningResult {

@@ -20,29 +20,26 @@
 //!    trivial constraints.
 //!
 //! All three are plugged into the shared [`search engine`](crate::search) as
-//! an [`ApproxDriver`](self): this module holds no tree walk of its own, so
-//! the approximate enumerator inherits the engine's frontier orders
-//! ([`SearchOrder::ShortestFirst`] emits in nondecreasing size) and anytime
-//! budgets ([`SearchBudget`]) unchanged.
+//! the driver behind [`Search::approx`](crate::Search::approx): this module
+//! holds no tree walk of its own, so the approximate enumerator inherits the
+//! engine's frontier orders (shortest-first emits in nondecreasing size),
+//! anytime budgets, and resume tokens unchanged.
 //!
 //! The scoring function is supplied by the caller and must satisfy the
 //! monotonicity and indifference-to-redundancy axioms for the enumeration to
 //! be complete (see `adc-approx`).
 
-use crate::search::{
-    resume_search, run_search_resumable, NodeDisposition, SearchBudget, SearchConfig, SearchDriver,
-    SearchNode, SearchOrder, SearchOutcome, SuspendedSearch,
-};
-use crate::{BranchStrategy, SetSystem};
+use crate::search::{NodeDisposition, SearchDriver, SearchNode, SearchOutcome};
+use crate::SetSystem;
 use adc_data::FixedBitSet;
 
-/// Configuration for [`enumerate_approx_minimal_hitting_sets`].
+/// The problem an approximate [`Search`](crate::Search) solves: the
+/// threshold and the two optional tree rules of `ADCEnum`. The traversal
+/// itself (strategy, order, budget, resume) belongs to the search value.
 #[derive(Debug, Clone)]
 pub struct ApproxEnumConfig<'a> {
     /// Approximation threshold ε ≥ 0: emit `S` when `1 − f(S) ≤ ε`.
     pub epsilon: f64,
-    /// Branching strategy for choosing the next subset to hit.
-    pub strategy: BranchStrategy,
     /// Optional structure-group id per element; when an element enters the
     /// partial solution, the rest of its group leaves the candidate list for
     /// that branch (the paper's `RemoveRedundantPreds`).
@@ -50,14 +47,6 @@ pub struct ApproxEnumConfig<'a> {
     /// Enable the `WillCover` pruning of the non-hitting branch (line 9 of
     /// Figure 4). Disabling it is only useful for ablation studies.
     pub will_cover_pruning: bool,
-    /// Stop after emitting this many results (`None` = unlimited). Folded
-    /// into [`ApproxEnumConfig::budget`] at run time; kept as its own field
-    /// for backward compatibility.
-    pub max_results: Option<usize>,
-    /// Frontier order of the underlying search engine.
-    pub order: SearchOrder,
-    /// Resource budget of the underlying search engine.
-    pub budget: SearchBudget,
 }
 
 impl<'a> ApproxEnumConfig<'a> {
@@ -65,19 +54,9 @@ impl<'a> ApproxEnumConfig<'a> {
     pub fn new(epsilon: f64) -> Self {
         ApproxEnumConfig {
             epsilon,
-            strategy: BranchStrategy::default(),
             element_groups: None,
             will_cover_pruning: true,
-            max_results: None,
-            order: SearchOrder::default(),
-            budget: SearchBudget::default(),
         }
-    }
-
-    /// Set the branch strategy.
-    pub fn with_strategy(mut self, strategy: BranchStrategy) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// Provide element structure groups.
@@ -90,36 +69,6 @@ impl<'a> ApproxEnumConfig<'a> {
     pub fn with_will_cover_pruning(mut self, enabled: bool) -> Self {
         self.will_cover_pruning = enabled;
         self
-    }
-
-    /// Limit the number of emitted results.
-    pub fn with_max_results(mut self, max: usize) -> Self {
-        self.max_results = Some(max);
-        self
-    }
-
-    /// Select the frontier order (shortest-first emits in nondecreasing size).
-    pub fn with_order(mut self, order: SearchOrder) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// Bound the search by nodes, wall-clock time, and/or emitted results.
-    pub fn with_budget(mut self, budget: SearchBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The engine budget with [`ApproxEnumConfig::max_results`] folded in.
-    fn effective_budget(&self) -> SearchBudget {
-        let mut budget = self.budget;
-        if let Some(max) = self.max_results {
-            budget.max_emitted = Some(match budget.max_emitted {
-                Some(existing) => existing.min(max),
-                None => max,
-            });
-        }
-        budget
     }
 }
 
@@ -138,186 +87,77 @@ pub struct ApproxEnumStats {
     /// footprint the `max_frontier_nodes` budget bounds.
     pub peak_frontier: u64,
     /// Memory-bound frontier contractions performed (non-zero only when
-    /// [`SearchBudget::max_frontier_nodes`] fired).
+    /// [`SearchBudget::max_frontier_nodes`](crate::SearchBudget::max_frontier_nodes)
+    /// fired).
     pub frontier_contractions: u64,
 }
 
-/// Enumerate all minimal approximate hitting sets of `system` w.r.t. the
-/// scoring function `score` and the threshold in `config`.
-///
-/// `score(X)` must return `f(X) ∈ [0, 1]`; the callback receives each
-/// minimal set and may return `false` to stop early. Returns run statistics.
-pub fn enumerate_approx_minimal_hitting_sets<S, F>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-    mut callback: F,
-) -> ApproxEnumStats
-where
-    S: Fn(&FixedBitSet) -> f64,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    search_approx_minimal_hitting_sets(system, score, config, &mut callback).0
-}
-
-/// Like [`enumerate_approx_minimal_hitting_sets`], but also returning the
-/// engine's [`SearchOutcome`] so callers can distinguish an exhaustive run
-/// from one cut short by the budget, the result cap, or the callback.
-pub fn search_approx_minimal_hitting_sets<S, F>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-    callback: &mut F,
-) -> (ApproxEnumStats, SearchOutcome)
-where
-    S: Fn(&FixedBitSet) -> f64,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    let (stats, outcome, _) =
-        search_approx_minimal_hitting_sets_resumable(system, score, config, callback);
-    (stats, outcome)
-}
-
-/// Like [`search_approx_minimal_hitting_sets`], but a budget- or cap-cut run
-/// also returns a [`SuspendedSearch`] token for
-/// [`resume_approx_minimal_hitting_sets`]. A cut run resumed to completion
-/// (with the identical system, score, and config) emits exactly the same
-/// cover sequence as a single uncut run.
-pub fn search_approx_minimal_hitting_sets_resumable<S, F>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-    callback: &mut F,
-) -> (ApproxEnumStats, SearchOutcome, Option<SuspendedSearch>)
-where
-    S: Fn(&FixedBitSet) -> f64,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    approx_run(system, score, config, None, callback)
-}
-
-/// Continue a suspended approximate enumeration. `config` must describe the
-/// same problem as the original run (threshold, groups, pruning, score);
-/// its budget and result cap apply to this slice alone.
-pub fn resume_approx_minimal_hitting_sets<S, F>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-    suspended: SuspendedSearch,
-    callback: &mut F,
-) -> (ApproxEnumStats, SearchOutcome, Option<SuspendedSearch>)
-where
-    S: Fn(&FixedBitSet) -> f64,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    approx_run(system, score, config, Some(suspended), callback)
-}
-
-/// Patch a suspended **approximate** enumeration after subsets were appended
-/// to the system, when that is sound — i.e. only at `ε = 0`, where the
-/// threshold test degenerates to "hits every subset" for any approximation
-/// function satisfying the paper's axioms, so the frontier's past pruning
-/// decisions remain valid against the grown system. For `ε > 0` the
-/// count-weighted scores of already-classified nodes may shift
-/// non-monotonically under a delta, so no patch is attempted and `None` is
-/// returned — restart the enumeration instead.
-///
-/// On success returns the number of frontier nodes that gained an uncovered
-/// subset (the [`SuspendedSearch::patch`] contract: sound continuation, not
-/// complete relative to a from-scratch run).
-pub fn patch_approx_search(
-    suspended: &mut SuspendedSearch,
-    system: &SetSystem,
-    config: &ApproxEnumConfig<'_>,
-    appended_from: usize,
-) -> Option<usize> {
-    if config.epsilon != 0.0 {
-        return None;
+impl From<SearchOutcome> for ApproxEnumStats {
+    fn from(outcome: SearchOutcome) -> Self {
+        ApproxEnumStats {
+            recursive_calls: outcome.nodes_expanded,
+            score_evaluations: outcome.score_evaluations,
+            emitted: outcome.emitted as u64,
+            peak_frontier: outcome.peak_frontier as u64,
+            frontier_contractions: outcome.contractions,
+        }
     }
-    Some(suspended.patch(system, appended_from))
-}
-
-fn approx_run<S, F>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-    suspended: Option<SuspendedSearch>,
-    callback: &mut F,
-) -> (ApproxEnumStats, SearchOutcome, Option<SuspendedSearch>)
-where
-    S: Fn(&FixedBitSet) -> f64,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    assert!(config.epsilon >= 0.0, "epsilon must be non-negative");
-    if let Some(groups) = config.element_groups {
-        assert_eq!(
-            groups.len(),
-            system.num_elements(),
-            "element_groups length must equal the number of elements"
-        );
-    }
-    let mut driver = ApproxDriver {
-        score: &score,
-        epsilon: config.epsilon,
-        element_groups: config.element_groups,
-        will_cover_pruning: config.will_cover_pruning,
-        score_evaluations: 0,
-    };
-    let engine_config = SearchConfig {
-        strategy: config.strategy,
-        order: config.order,
-        budget: config.effective_budget(),
-    };
-    let (outcome, next) = match suspended {
-        None => run_search_resumable(system, &mut driver, &engine_config, callback),
-        Some(token) => resume_search(system, &mut driver, &engine_config, token, callback),
-    };
-    let stats = ApproxEnumStats {
-        recursive_calls: outcome.nodes_expanded,
-        score_evaluations: driver.score_evaluations,
-        emitted: outcome.emitted as u64,
-        peak_frontier: outcome.peak_frontier as u64,
-        frontier_contractions: outcome.contractions,
-    };
-    (stats, outcome, next)
-}
-
-/// Convenience wrapper collecting the results into a vector.
-pub fn approx_minimal_hitting_sets<S>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-) -> Vec<FixedBitSet>
-where
-    S: Fn(&FixedBitSet) -> f64,
-{
-    let mut out = Vec::new();
-    enumerate_approx_minimal_hitting_sets(system, score, config, |s| {
-        out.push(s.clone());
-        true
-    });
-    out
 }
 
 /// The `ADCEnum` configuration of the search engine: ε-acceptance base case
 /// with the explicit `IsMinimal` check, the non-hitting branch guarded by
 /// `WillCover`, and redundant-group suppression.
-struct ApproxDriver<'a, S: Fn(&FixedBitSet) -> f64> {
-    score: &'a S,
+pub(crate) struct ApproxDriver<'a> {
+    score: &'a dyn Fn(&FixedBitSet) -> f64,
     epsilon: f64,
     element_groups: Option<&'a [usize]>,
     will_cover_pruning: bool,
     score_evaluations: u64,
 }
 
-impl<S: Fn(&FixedBitSet) -> f64> ApproxDriver<'_, S> {
+impl<'a> ApproxDriver<'a> {
+    /// # Panics
+    /// Panics on a negative ε or element groups not covering `system`'s
+    /// element universe exactly.
+    pub(crate) fn new(
+        score: &'a dyn Fn(&FixedBitSet) -> f64,
+        config: &ApproxEnumConfig<'a>,
+        system: &SetSystem,
+    ) -> Self {
+        assert!(config.epsilon >= 0.0, "epsilon must be non-negative");
+        if let Some(groups) = config.element_groups {
+            assert_eq!(
+                groups.len(),
+                system.num_elements(),
+                "element_groups length must equal the number of elements"
+            );
+        }
+        ApproxDriver {
+            score,
+            epsilon: config.epsilon,
+            element_groups: config.element_groups,
+            will_cover_pruning: config.will_cover_pruning,
+            score_evaluations: 0,
+        }
+    }
+
+    pub(crate) fn score_evaluations(&self) -> u64 {
+        self.score_evaluations
+    }
+
+    #[inline]
     fn meets_threshold(&mut self, set: &FixedBitSet) -> bool {
         self.score_evaluations += 1;
         1.0 - (self.score)(set) <= self.epsilon
     }
 }
 
-impl<S: Fn(&FixedBitSet) -> f64> SearchDriver for ApproxDriver<'_, S> {
+// `#[inline]` throughout: the engine loop that calls these is instantiated
+// in the caller's crate (it is generic over the callback), and these small
+// per-node decisions must inline into it as they did when the driver was
+// generic over the score type.
+impl SearchDriver for ApproxDriver<'_> {
+    #[inline]
     fn classify(&mut self, _system: &SetSystem, node: &SearchNode) -> NodeDisposition {
         // Base case: once the threshold is met, no strict superset can be
         // minimal (monotonicity), so the node is terminal either way.
@@ -335,10 +175,12 @@ impl<S: Fn(&FixedBitSet) -> f64> SearchDriver for ApproxDriver<'_, S> {
         NodeDisposition::Emit
     }
 
+    #[inline]
     fn wants_skip_branch(&self) -> bool {
         true
     }
 
+    #[inline]
     fn explore_skip_branch(
         &mut self,
         _system: &SetSystem,
@@ -350,10 +192,12 @@ impl<S: Fn(&FixedBitSet) -> f64> SearchDriver for ApproxDriver<'_, S> {
         !self.will_cover_pruning || self.meets_threshold(&solution.union(cand))
     }
 
+    #[inline]
     fn group_of(&self, element: usize) -> Option<usize> {
         self.element_groups.map(|groups| groups[element])
     }
 
+    #[inline]
     fn unhittable_is_fatal(&self) -> bool {
         false
     }
@@ -368,9 +212,28 @@ impl<S: Fn(&FixedBitSet) -> f64> SearchDriver for ApproxDriver<'_, S> {
 mod tests {
     use super::*;
     use crate::brute::{brute_force_minimal_approx_hitting_sets, brute_force_minimal_hitting_sets};
+    use crate::{BranchStrategy, Search, SearchBudget, SearchOrder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Run `search` unbudgeted, collecting every emission.
+    fn collect(search: Search<'_>, system: &SetSystem) -> (Vec<FixedBitSet>, SearchOutcome) {
+        let mut out = Vec::new();
+        let (outcome, _) = search.run(system, SearchBudget::unlimited(), |s| {
+            out.push(s.clone());
+            true
+        });
+        (out, outcome)
+    }
+
+    fn approx_minimal_hitting_sets(
+        system: &SetSystem,
+        score: &dyn Fn(&FixedBitSet) -> f64,
+        config: &ApproxEnumConfig<'_>,
+    ) -> Vec<FixedBitSet> {
+        collect(Search::approx(score, config.clone()), system).0
+    }
 
     fn as_sorted_vecs(sets: &[FixedBitSet]) -> Vec<Vec<usize>> {
         let mut v: Vec<Vec<usize>> = sets.iter().map(|s| s.to_vec()).collect();
@@ -460,8 +323,8 @@ mod tests {
                 BranchStrategy::MinIntersection,
                 BranchStrategy::First,
             ] {
-                let cfg = ApproxEnumConfig::new(epsilon).with_strategy(strategy);
-                let found = approx_minimal_hitting_sets(&sys, &score, &cfg);
+                let search = Search::approx(&score, ApproxEnumConfig::new(epsilon));
+                let (found, _) = collect(search.with_strategy(strategy), &sys);
                 assert_eq!(
                     as_sorted_vecs(&found),
                     as_sorted_vecs(&expected),
@@ -533,12 +396,14 @@ mod tests {
     fn max_results_stops_early() {
         let sys = SetSystem::from_indices(6, &[&[0, 1], &[2, 3], &[4, 5]]);
         let score = coverage_score(&sys, vec![1, 1, 1]);
-        let cfg = ApproxEnumConfig::new(0.0).with_max_results(3);
+        let budget = SearchBudget::unlimited().with_max_emitted(3);
         let mut seen = 0usize;
-        let stats = enumerate_approx_minimal_hitting_sets(&sys, &score, &cfg, |_| {
-            seen += 1;
-            true
-        });
+        let (outcome, _) =
+            Search::approx(&score, ApproxEnumConfig::new(0.0)).run(&sys, budget, |_| {
+                seen += 1;
+                true
+            });
+        let stats = ApproxEnumStats::from(outcome);
         assert_eq!(seen, 3);
         assert_eq!(stats.emitted, 3);
     }
@@ -548,11 +413,11 @@ mod tests {
         use crate::search::TruncationReason;
         let sys = SetSystem::from_indices(6, &[&[0, 1], &[2, 3], &[4, 5]]);
         let score = coverage_score(&sys, vec![1, 1, 1]);
-        let cfg = ApproxEnumConfig::new(0.0)
-            .with_max_results(3)
-            .with_order(SearchOrder::ShortestFirst);
-        let (stats, outcome) =
-            search_approx_minimal_hitting_sets(&sys, &score, &cfg, &mut |_: &FixedBitSet| true);
+        let budget = SearchBudget::unlimited().with_max_emitted(3);
+        let (outcome, _) = Search::approx(&score, ApproxEnumConfig::new(0.0))
+            .with_order(SearchOrder::ShortestFirst)
+            .run(&sys, budget, |_| true);
+        let stats = ApproxEnumStats::from(outcome);
         assert_eq!(stats.emitted, 3);
         assert_eq!(
             outcome.truncation.map(|t| t.reason),
@@ -582,10 +447,10 @@ mod tests {
             let sys = SetSystem::new(m, subsets);
             let score = coverage_score(&sys, vec![1; sys.len()]);
             let dfs = approx_minimal_hitting_sets(&sys, &score, &ApproxEnumConfig::new(0.2));
-            let sf = approx_minimal_hitting_sets(
+            let (sf, _) = collect(
+                Search::approx(&score, ApproxEnumConfig::new(0.2))
+                    .with_order(SearchOrder::ShortestFirst),
                 &sys,
-                &score,
-                &ApproxEnumConfig::new(0.2).with_order(SearchOrder::ShortestFirst),
             );
             assert_eq!(as_sorted_vecs(&dfs), as_sorted_vecs(&sf));
             let sizes: Vec<usize> = sf.iter().map(|s| s.len()).collect();
@@ -599,8 +464,8 @@ mod tests {
     fn stats_are_populated() {
         let sys = SetSystem::from_indices(4, &[&[0, 1], &[1, 2], &[2, 3]]);
         let score = coverage_score(&sys, vec![1, 1, 1]);
-        let cfg = ApproxEnumConfig::new(0.0);
-        let stats = enumerate_approx_minimal_hitting_sets(&sys, &score, &cfg, |_| true);
+        let (_, outcome) = collect(Search::approx(&score, ApproxEnumConfig::new(0.0)), &sys);
+        let stats = ApproxEnumStats::from(outcome);
         assert!(stats.recursive_calls > 0);
         assert!(stats.score_evaluations > 0);
         assert_eq!(stats.emitted, 3);

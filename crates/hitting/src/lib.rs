@@ -17,18 +17,41 @@
 //! application — this crate depends only on `adc-data` for its bitset and can
 //! be used for any hypergraph-transversal-style workload.
 //!
+//! Every enumeration — exact or approximate, budgeted, resumed, or confined
+//! to a subset of the elements — is one [`Search`] value and one call to
+//! [`Search::run`]:
+//!
 //! ```
-//! use adc_hitting::{enumerate_minimal_hitting_sets, BranchStrategy, SetSystem};
+//! use adc_hitting::{ApproxEnumConfig, BranchStrategy, Search, SearchBudget, SetSystem};
 //!
 //! // The path hypergraph {0,1}, {1,2}, {2,3} has three minimal transversals.
 //! let system = SetSystem::from_indices(4, &[&[0, 1], &[1, 2], &[2, 3]]);
 //! let mut found = Vec::new();
-//! enumerate_minimal_hitting_sets(&system, BranchStrategy::MinIntersection, |hs| {
-//!     found.push(hs.to_vec());
-//!     true // keep enumerating
-//! });
+//! Search::exact()
+//!     .with_strategy(BranchStrategy::MinIntersection)
+//!     .run(&system, SearchBudget::unlimited(), |hs| {
+//!         found.push(hs.to_vec());
+//!         true // keep enumerating
+//!     });
 //! found.sort();
 //! assert_eq!(found, vec![vec![0, 2], vec![1, 2], vec![1, 3]]);
+//!
+//! // Approximately (up to ε ≈ 1/3 of the subsets may stay unhit), any
+//! // minimal set hitting two of the three subsets is an answer.
+//! let score = |set: &adc_data::FixedBitSet| {
+//!     system.subsets().iter().filter(|s| s.intersects(set)).count() as f64 / 3.0
+//! };
+//! let mut approx = Vec::new();
+//! Search::approx(&score, ApproxEnumConfig::new(0.34)).run(
+//!     &system,
+//!     SearchBudget::unlimited(),
+//!     |hs| {
+//!         approx.push(hs.to_vec());
+//!         true
+//!     },
+//! );
+//! approx.sort();
+//! assert_eq!(approx, vec![vec![0, 3], vec![1], vec![2]]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -40,20 +63,10 @@ pub mod mmcs;
 pub mod repair;
 pub mod search;
 
-pub use approx::{
-    approx_minimal_hitting_sets, enumerate_approx_minimal_hitting_sets, patch_approx_search,
-    resume_approx_minimal_hitting_sets, search_approx_minimal_hitting_sets,
-    search_approx_minimal_hitting_sets_resumable, ApproxEnumConfig, ApproxEnumStats,
-};
-pub use mmcs::{
-    enumerate_minimal_hitting_sets, minimal_hitting_sets, patch_minimal_hitting_search,
-    resume_minimal_hitting_sets, search_minimal_hitting_sets,
-    search_minimal_hitting_sets_resumable, search_minimal_hitting_sets_within,
-};
+pub use approx::{ApproxEnumConfig, ApproxEnumStats};
 pub use repair::{repair_covers, repair_covers_removal, shrink_covers, CoverRepair, RemovalRepair};
 pub use search::{
-    SearchBudget, SearchDriver, SearchOrder, SearchOutcome, SuspendedSearch, Truncation,
-    TruncationReason,
+    Search, SearchBudget, SearchOrder, SearchOutcome, SuspendedSearch, Truncation, TruncationReason,
 };
 
 use adc_data::FixedBitSet;

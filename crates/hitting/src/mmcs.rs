@@ -11,177 +11,22 @@
 //! the branch outright.
 //!
 //! Because it is engine-backed, exact enumeration gets the anytime features
-//! for free: [`search_minimal_hitting_sets`] accepts a [`SearchOrder`]
-//! (shortest-first emission uses the [`greedy_disjoint_lower_bound`] as an
-//! admissible frontier key) and a [`SearchBudget`], and reports a
-//! [`SearchOutcome`] that distinguishes exhaustive from truncated runs.
-//! Budget-cut runs are resumable ([`search_minimal_hitting_sets_resumable`] /
-//! [`resume_minimal_hitting_sets`]), and unbudgeted depth-first runs take the
-//! engine's in-place undo walk, which skips per-child node snapshots
-//! entirely — the classic recursive MMCS cost profile.
+//! for free: [`Search::exact`](crate::Search::exact) accepts a
+//! [`SearchOrder`](crate::SearchOrder) (shortest-first emission uses a
+//! greedy family of disjoint uncovered subsets as an admissible frontier
+//! key) and a [`SearchBudget`](crate::SearchBudget), reports a
+//! [`SearchOutcome`](crate::SearchOutcome) that distinguishes exhaustive from
+//! truncated runs, and resumes budget-cut runs from their
+//! [`SuspendedSearch`](crate::SuspendedSearch) token. Fresh unbudgeted
+//! depth-first runs take the engine's in-place undo walk, which skips
+//! per-child node snapshots entirely — the classic recursive MMCS cost
+//! profile.
 
-use crate::search::{
-    greedy_disjoint_lower_bound, resume_search, run_search, run_search_resumable,
-    run_search_within, NodeDisposition, SearchBudget, SearchConfig, SearchDriver, SearchNode,
-    SearchOrder, SearchOutcome, SuspendedSearch,
-};
-use crate::{BranchStrategy, SetSystem};
-use adc_data::FixedBitSet;
-
-/// Enumerate all minimal hitting sets of `system`.
-///
-/// `strategy` controls which uncovered subset is branched on next (the
-/// classic choice is [`BranchStrategy::MinIntersection`]). The callback is
-/// invoked once per minimal hitting set; return `false` from it to stop the
-/// enumeration early. Returns the number of emitted sets.
-pub fn enumerate_minimal_hitting_sets<F>(
-    system: &SetSystem,
-    strategy: BranchStrategy,
-    mut callback: F,
-) -> usize
-where
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    search_minimal_hitting_sets(
-        system,
-        strategy,
-        SearchOrder::Dfs,
-        SearchBudget::unlimited(),
-        &mut callback,
-    )
-    .emitted
-}
-
-/// Enumerate minimal hitting sets under an explicit frontier order and
-/// budget, returning the full [`SearchOutcome`].
-///
-/// With [`SearchOrder::ShortestFirst`] the sets are emitted in nondecreasing
-/// size (ties broken deterministically by discovery order), so a truncated
-/// run keeps the entire shortest part of the minimal frontier —
-/// [`SearchOutcome::truncation`] reports up to which size it is complete.
-pub fn search_minimal_hitting_sets<F>(
-    system: &SetSystem,
-    strategy: BranchStrategy,
-    order: SearchOrder,
-    budget: SearchBudget,
-    callback: &mut F,
-) -> SearchOutcome
-where
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    let config = SearchConfig {
-        strategy,
-        order,
-        budget,
-    };
-    run_search(system, &mut ExactDriver, &config, callback)
-}
-
-/// Like [`search_minimal_hitting_sets`], but a budget-cut run also returns a
-/// [`SuspendedSearch`] token. Feeding the token to
-/// [`resume_minimal_hitting_sets`] continues the traversal exactly where it
-/// stopped: the concatenated emission across slices equals the sequence of a
-/// single uncapped run.
-pub fn search_minimal_hitting_sets_resumable<F>(
-    system: &SetSystem,
-    strategy: BranchStrategy,
-    order: SearchOrder,
-    budget: SearchBudget,
-    callback: &mut F,
-) -> (SearchOutcome, Option<SuspendedSearch>)
-where
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    let config = SearchConfig {
-        strategy,
-        order,
-        budget,
-    };
-    run_search_resumable(system, &mut ExactDriver, &config, callback)
-}
-
-/// Continue a suspended exact enumeration. `budget` applies to this slice
-/// alone; order and strategy are taken from the token (which
-/// [`resume_search`] validates against).
-pub fn resume_minimal_hitting_sets<F>(
-    system: &SetSystem,
-    budget: SearchBudget,
-    suspended: SuspendedSearch,
-    callback: &mut F,
-) -> (SearchOutcome, Option<SuspendedSearch>)
-where
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    let config = SearchConfig {
-        strategy: suspended.strategy(),
-        order: suspended.order(),
-        budget,
-    };
-    resume_search(system, &mut ExactDriver, &config, suspended, callback)
-}
-
-/// Enumerate exactly the minimal hitting sets of `system` that are
-/// **contained in** `allowed`, by restricting the search engine's root
-/// candidate set (see [`run_search_within`] for why restriction preserves
-/// both soundness and completeness of the confined answer set).
-///
-/// This is the local-enumeration primitive of removal-aware cover repair
-/// ([`crate::repair::repair_covers_removal`]): after a subset `R` is removed
-/// from a system, every *genuinely new* minimal cover misses `R`, i.e. lies
-/// in `R`'s complement — so the new covers are recovered by one confined run
-/// per removed subset instead of a full-frontier restart.
-///
-/// Runs unbudgeted depth-first (the in-place undo walk), returning the full
-/// [`SearchOutcome`] so callers can account for the nodes the confined
-/// enumeration expanded.
-pub fn search_minimal_hitting_sets_within<F>(
-    system: &SetSystem,
-    allowed: &FixedBitSet,
-    strategy: BranchStrategy,
-    callback: &mut F,
-) -> SearchOutcome
-where
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    let config = SearchConfig {
-        strategy,
-        order: SearchOrder::Dfs,
-        budget: SearchBudget::unlimited(),
-    };
-    run_search_within(system, &mut ExactDriver, allowed, &config, callback)
-}
-
-/// Patch a suspended **exact** enumeration after subsets were appended to
-/// the system (see [`SuspendedSearch::patch`] for the mechanics and the
-/// soundness/completeness contract). Returns the number of frontier nodes
-/// that gained an uncovered subset.
-///
-/// Exact enumeration re-checks nothing at emission beyond `uncov` being
-/// empty, so the patched frontier may be resumed with
-/// [`resume_minimal_hitting_sets`] against the grown system directly: every
-/// emission is a minimal hitting set of the grown system. Covers emitted
-/// *before* the patch are the caller's to repair
-/// ([`crate::repair::repair_covers`]).
-pub fn patch_minimal_hitting_search(
-    suspended: &mut SuspendedSearch,
-    system: &SetSystem,
-    appended_from: usize,
-) -> usize {
-    suspended.patch(system, appended_from)
-}
-
-/// Convenience wrapper collecting all minimal hitting sets into a vector.
-pub fn minimal_hitting_sets(system: &SetSystem, strategy: BranchStrategy) -> Vec<FixedBitSet> {
-    let mut out = Vec::new();
-    enumerate_minimal_hitting_sets(system, strategy, |s| {
-        out.push(s.clone());
-        true
-    });
-    out
-}
+use crate::search::{greedy_disjoint_lower_bound, NodeDisposition, SearchDriver, SearchNode};
+use crate::SetSystem;
 
 /// The exact MMCS configuration of the search engine.
-struct ExactDriver;
+pub(crate) struct ExactDriver;
 
 impl SearchDriver for ExactDriver {
     fn classify(&mut self, _system: &SetSystem, node: &SearchNode) -> NodeDisposition {
@@ -197,22 +42,40 @@ impl SearchDriver for ExactDriver {
     fn lower_bound(&mut self, system: &SetSystem, node: &SearchNode) -> usize {
         greedy_disjoint_lower_bound(system, node.uncov(), node.cand())
     }
-
-    fn supports_inplace_dfs(&self) -> bool {
-        // `classify` is exactly the exact-MMCS rule (emit iff `uncov` is
-        // empty), so unbudgeted DFS runs may use the engine's in-place undo
-        // walk instead of per-child node snapshots.
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::brute::brute_force_minimal_hitting_sets;
+    use crate::{BranchStrategy, Search, SearchBudget, SearchOrder, SearchOutcome};
+    use adc_data::FixedBitSet;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Run `search` to the end of its budget, collecting every emission.
+    fn collect(
+        search: Search<'_>,
+        system: &SetSystem,
+        budget: SearchBudget,
+    ) -> (Vec<FixedBitSet>, SearchOutcome) {
+        let mut out = Vec::new();
+        let (outcome, _) = search.run(system, budget, |s| {
+            out.push(s.clone());
+            true
+        });
+        (out, outcome)
+    }
+
+    fn minimal_hitting_sets(system: &SetSystem, strategy: BranchStrategy) -> Vec<FixedBitSet> {
+        collect(
+            Search::exact().with_strategy(strategy),
+            system,
+            SearchBudget::unlimited(),
+        )
+        .0
+    }
 
     fn as_sorted_vecs(mut sets: Vec<FixedBitSet>) -> Vec<Vec<usize>> {
         let mut v: Vec<Vec<usize>> = sets.drain(..).map(|s| s.to_vec()).collect();
@@ -221,16 +84,12 @@ mod tests {
     }
 
     fn shortest_first(system: &SetSystem, strategy: BranchStrategy) -> Vec<FixedBitSet> {
-        let mut out = Vec::new();
-        let outcome = search_minimal_hitting_sets(
+        let (out, outcome) = collect(
+            Search::exact()
+                .with_strategy(strategy)
+                .with_order(SearchOrder::ShortestFirst),
             system,
-            strategy,
-            SearchOrder::ShortestFirst,
             SearchBudget::unlimited(),
-            &mut |s: &FixedBitSet| {
-                out.push(s.clone());
-                true
-            },
         );
         assert!(outcome.is_exhaustive());
         assert_eq!(outcome.emitted, out.len());
@@ -290,12 +149,12 @@ mod tests {
     fn early_stop_via_callback() {
         let sys = SetSystem::from_indices(6, &[&[0, 1], &[2, 3], &[4, 5]]);
         let mut seen = 0;
-        let emitted = enumerate_minimal_hitting_sets(&sys, BranchStrategy::default(), |_| {
+        let (outcome, _) = Search::exact().run(&sys, SearchBudget::unlimited(), |_| {
             seen += 1;
             seen < 3
         });
         assert_eq!(seen, 3);
-        assert_eq!(emitted, 3);
+        assert_eq!(outcome.emitted, 3);
     }
 
     #[test]
@@ -303,12 +162,10 @@ mod tests {
         use crate::search::TruncationReason;
         let sys = SetSystem::from_indices(6, &[&[0, 1], &[2, 3], &[4, 5]]);
         let mut seen = 0;
-        let outcome = search_minimal_hitting_sets(
+        let (outcome, _) = Search::exact().with_order(SearchOrder::ShortestFirst).run(
             &sys,
-            BranchStrategy::default(),
-            SearchOrder::ShortestFirst,
             SearchBudget::unlimited(),
-            &mut |_: &FixedBitSet| {
+            |_| {
                 seen += 1;
                 seen < 3
             },
@@ -340,16 +197,10 @@ mod tests {
     fn max_nodes_budget_truncates() {
         use crate::search::TruncationReason;
         let sys = SetSystem::from_indices(8, &[&[0, 1], &[2, 3], &[4, 5], &[6, 7]]);
-        let mut out = Vec::new();
-        let outcome = search_minimal_hitting_sets(
+        let (_, outcome) = collect(
+            Search::exact().with_order(SearchOrder::ShortestFirst),
             &sys,
-            BranchStrategy::default(),
-            SearchOrder::ShortestFirst,
             SearchBudget::unlimited().with_max_nodes(3),
-            &mut |s: &FixedBitSet| {
-                out.push(s.clone());
-                true
-            },
         );
         assert!(!outcome.is_exhaustive());
         assert_eq!(outcome.nodes_expanded, 3);
@@ -361,9 +212,9 @@ mod tests {
 
     #[test]
     fn inplace_dfs_matches_the_explicit_engine_order() {
-        // `enumerate_minimal_hitting_sets` (unbudgeted DFS) takes the
-        // in-place undo walk; forcing any budget falls back to the explicit
-        // frontier. Both must emit the identical sequence, not just set.
+        // An unbudgeted DFS run takes the in-place undo walk; forcing any
+        // budget falls back to the explicit frontier. Both must emit the
+        // identical sequence, not just set.
         let mut rng = StdRng::seed_from_u64(77);
         for _ in 0..20 {
             let m = rng.gen_range(3..9);
@@ -387,27 +238,12 @@ mod tests {
                 BranchStrategy::MinIntersection,
                 BranchStrategy::First,
             ] {
-                let mut inplace = Vec::new();
-                let fast = search_minimal_hitting_sets(
+                let search = Search::exact().with_strategy(strategy);
+                let (inplace, fast) = collect(search.clone(), &sys, SearchBudget::unlimited());
+                let (explicit, slow) = collect(
+                    search,
                     &sys,
-                    strategy,
-                    SearchOrder::Dfs,
-                    SearchBudget::unlimited(),
-                    &mut |s: &FixedBitSet| {
-                        inplace.push(s.to_vec());
-                        true
-                    },
-                );
-                let mut explicit = Vec::new();
-                let slow = search_minimal_hitting_sets(
-                    &sys,
-                    strategy,
-                    SearchOrder::Dfs,
                     SearchBudget::unlimited().with_max_nodes(u64::MAX),
-                    &mut |s: &FixedBitSet| {
-                        explicit.push(s.to_vec());
-                        true
-                    },
                 );
                 assert_eq!(inplace, explicit, "strategy {strategy:?}");
                 assert_eq!(fast.emitted, slow.emitted);
@@ -421,42 +257,26 @@ mod tests {
     fn budget_cut_exact_run_resumes_to_the_uncapped_sequence() {
         let sys = SetSystem::from_indices(8, &[&[0, 1], &[2, 3], &[4, 5], &[6, 7]]);
         for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
-            let mut reference = Vec::new();
-            let outcome = search_minimal_hitting_sets(
-                &sys,
-                BranchStrategy::default(),
-                order,
-                SearchBudget::unlimited(),
-                &mut |s: &FixedBitSet| {
-                    reference.push(s.to_vec());
-                    true
-                },
-            );
+            let search = Search::exact().with_order(order);
+            let (reference, outcome) = collect(search.clone(), &sys, SearchBudget::unlimited());
             assert!(outcome.is_exhaustive());
             assert_eq!(reference.len(), 16);
 
             let slice = SearchBudget::unlimited().with_max_nodes(5);
             let mut covers = Vec::new();
-            let (_, mut suspended) = search_minimal_hitting_sets_resumable(
-                &sys,
-                BranchStrategy::default(),
-                order,
-                slice,
-                &mut |s: &FixedBitSet| {
-                    covers.push(s.to_vec());
-                    true
-                },
-            );
+            let mut push = |s: &FixedBitSet| {
+                covers.push(s.clone());
+                true
+            };
+            let (_, mut suspended) = search.run(&sys, slice, &mut push);
             let mut slices = 1;
             while let Some(token) = suspended.take() {
                 slices += 1;
                 assert!(slices < 100, "runaway resume loop");
-                let (_, next) =
-                    resume_minimal_hitting_sets(&sys, slice, token, &mut |s: &FixedBitSet| {
-                        covers.push(s.to_vec());
-                        true
-                    });
-                suspended = next;
+                suspended = Search::exact()
+                    .with_resume(token)
+                    .run(&sys, slice, &mut push)
+                    .1;
             }
             assert!(slices > 2, "the slice budget never fired ({order:?})");
             assert_eq!(covers, reference, "order {order:?}");
@@ -495,15 +315,10 @@ mod tests {
     }
 
     fn within(system: &SetSystem, allowed: &FixedBitSet) -> Vec<FixedBitSet> {
-        let mut out = Vec::new();
-        let outcome = search_minimal_hitting_sets_within(
+        let (out, outcome) = collect(
+            Search::exact().within(allowed),
             system,
-            allowed,
-            BranchStrategy::default(),
-            &mut |s: &FixedBitSet| {
-                out.push(s.clone());
-                true
-            },
+            SearchBudget::unlimited(),
         );
         assert!(outcome.is_exhaustive());
         assert_eq!(outcome.emitted, out.len());

@@ -41,7 +41,7 @@
 //!   and survives re-minimalisation unchanged;
 //! - otherwise `τ ∩ Rᵢ = ∅` for some removed `Rᵢ`, i.e.
 //!   `τ ⊆ complement(Rᵢ)` — exactly what one search run confined to
-//!   `complement(Rᵢ)` ([`search_minimal_hitting_sets_within`]) enumerates.
+//!   `complement(Rᵢ)` ([`Search::within`]) enumerates.
 //!
 //! So `T(F')` = {re-minimalised old covers} ∪ ⋃ᵢ {confined run for `Rᵢ`},
 //! and [`repair_covers_removal`] recovers the complete new answer with one
@@ -55,9 +55,7 @@
 
 #![doc = "conformance: ordered-output"]
 
-use crate::mmcs::{search_minimal_hitting_sets, search_minimal_hitting_sets_within};
-use crate::search::{SearchBudget, SearchOrder};
-use crate::{BranchStrategy, SetSystem};
+use crate::{BranchStrategy, Search, SearchBudget, SetSystem};
 use adc_data::fx::FxHashSet;
 use adc_data::FixedBitSet;
 use std::ops::Range;
@@ -157,25 +155,22 @@ pub fn repair_covers(
         // onto σ; the minimality filter against the *full* grown system
         // rejects the grafts that some other σ' already covers more cheaply.
         let sub = SetSystem::new(m, missed.into_iter().cloned().collect());
-        let outcome = search_minimal_hitting_sets(
-            &sub,
-            strategy,
-            SearchOrder::Dfs,
-            SearchBudget::unlimited(),
-            &mut |rho: &FixedBitSet| {
-                let mut candidate = sigma.clone();
-                candidate.union_with(rho);
-                if system.is_minimal_hitting_set(&candidate) {
-                    stats.discovered += 1;
-                    if seen.insert(candidate.clone()) {
-                        out.push(candidate);
+        let (outcome, _) =
+            Search::exact()
+                .with_strategy(strategy)
+                .run(&sub, SearchBudget::unlimited(), |rho| {
+                    let mut candidate = sigma.clone();
+                    candidate.union_with(rho);
+                    if system.is_minimal_hitting_set(&candidate) {
+                        stats.discovered += 1;
+                        if seen.insert(candidate.clone()) {
+                            out.push(candidate);
+                        }
+                    } else {
+                        stats.rejected += 1;
                     }
-                } else {
-                    stats.rejected += 1;
-                }
-                true
-            },
-        );
+                    true
+                });
         stats.nodes_expanded += outcome.nodes_expanded;
     }
     (out, stats)
@@ -248,11 +243,10 @@ pub fn repair_covers_removal(
         debug_assert_eq!(mask.capacity(), system.num_elements());
         stats.scopes += 1;
         let allowed = mask.complement();
-        let outcome = search_minimal_hitting_sets_within(
-            system,
-            &allowed,
-            strategy,
-            &mut |tau: &FixedBitSet| {
+        let (outcome, _) = Search::exact()
+            .with_strategy(strategy)
+            .within(&allowed)
+            .run(system, SearchBudget::unlimited(), |tau| {
                 if seen.insert(tau.clone()) {
                     stats.discovered += 1;
                     out.push(tau.clone());
@@ -260,8 +254,7 @@ pub fn repair_covers_removal(
                     stats.rejected += 1;
                 }
                 true
-            },
-        );
+            });
         stats.nodes_expanded += outcome.nodes_expanded;
     }
     (out, stats)
@@ -306,7 +299,17 @@ pub fn shrink_covers(covers: &[FixedBitSet], system: &SetSystem) -> Vec<FixedBit
 mod tests {
     use super::*;
     use crate::brute::brute_force_minimal_hitting_sets;
-    use crate::mmcs::minimal_hitting_sets;
+
+    fn minimal_hitting_sets(system: &SetSystem, strategy: BranchStrategy) -> Vec<FixedBitSet> {
+        let mut out = Vec::new();
+        Search::exact()
+            .with_strategy(strategy)
+            .run(system, SearchBudget::unlimited(), |s| {
+                out.push(s.clone());
+                true
+            });
+        out
+    }
 
     fn as_sorted_vecs(sets: &[FixedBitSet]) -> Vec<Vec<usize>> {
         let mut v: Vec<Vec<usize>> = sets.iter().map(|s| s.to_vec()).collect();

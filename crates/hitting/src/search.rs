@@ -1,4 +1,5 @@
-//! The shared tree-search engine behind every hitting-set enumerator.
+//! The shared tree-search engine behind every hitting-set enumeration, and
+//! its one entry point, [`Search::run`].
 //!
 //! Both the exact MMCS enumeration ([`crate::mmcs`]) and the approximate
 //! `ADCEnum` core ([`crate::approx`]) explore the same search tree: a node is
@@ -8,7 +9,8 @@
 //! invariant). The two algorithms differ only in *local* decisions: when a
 //! node is terminal, whether a non-hitting branch exists, and how candidate
 //! lists are thinned. This module owns the tree walk; the algorithms supply
-//! those decisions through [`SearchDriver`].
+//! those decisions through a driver, which a [`Search`] value selects
+//! ([`Search::exact`] or [`Search::approx`]).
 //!
 //! The walk is an **explicit frontier**, not recursion, which buys four
 //! things the recursive implementations could not offer:
@@ -16,16 +18,17 @@
 //! * **Pluggable order** ([`SearchOrder`]): a LIFO stack reproduces the
 //!   classic depth-first traversal; [`SearchOrder::ShortestFirst`] is a
 //!   best-first priority queue keyed by `|S|` plus an admissible lower bound
-//!   on the elements still needed ([`greedy_disjoint_lower_bound`]), which
-//!   guarantees covers are emitted in nondecreasing size — so any output cap
-//!   keeps the entire shortest frontier instead of an arbitrary DFS prefix.
+//!   on the elements still needed (a greedy family of disjoint uncovered
+//!   subsets), which guarantees covers are emitted in nondecreasing size — so
+//!   any output cap keeps the entire shortest frontier instead of an
+//!   arbitrary DFS prefix.
 //! * **Anytime budgets** ([`SearchBudget`]): node, wall-clock, and emission
 //!   limits checked at every step, with a [`SearchOutcome`] reporting whether
 //!   the run was exhaustive and, under shortest-first, up to which cover size
 //!   the emitted frontier is provably complete.
 //! * **Suspend / resume** ([`SuspendedSearch`]): a budget-cut run hands back
-//!   its live frontier as an opaque token; [`resume_search`] continues the
-//!   traversal exactly where it stopped, and a cut-then-resumed run emits
+//!   its live frontier as an opaque token; [`Search::with_resume`] continues
+//!   the traversal exactly where it stopped, and a cut-then-resumed run emits
 //!   **the same cover sequence** as a single uncapped run.
 //! * **Bounded memory** ([`SearchBudget::max_frontier_nodes`]): when the
 //!   best-first frontier outgrows the cap, the deepest tail of the heap is
@@ -35,13 +38,16 @@
 //!   stays honest throughout).
 //!
 //! One escape hatch remains from the recursion era: an **in-place undo walk**
-//! ([`SearchDriver::supports_inplace_dfs`]) used for unbudgeted depth-first
-//! exact enumeration, where per-child node snapshots would only cost — it
-//! visits the identical tree in the identical order while mutating a single
-//! node's state with O(1) undo instead of cloning it per child.
+//! used for fresh, unbudgeted depth-first exact enumeration, where per-child
+//! node snapshots would only cost — it visits the identical tree in the
+//! identical order while mutating a single node's state with O(1) undo
+//! instead of cloning it per child. [`Search::run`] is the one place that
+//! picks it.
 
 #![doc = "conformance: ordered-output"]
 
+use crate::approx::{ApproxDriver, ApproxEnumConfig};
+use crate::mmcs::ExactDriver;
 use crate::{BranchStrategy, SetSystem};
 use adc_data::fx::FxHashMap;
 use adc_data::FixedBitSet;
@@ -185,6 +191,9 @@ pub struct SearchOutcome {
     /// [`SearchOrder::ShortestFirst`] was locally relaxed to stay within
     /// the memory bound.
     pub contractions: u64,
+    /// Scoring-function evaluations made by this run (always 0 under
+    /// [`Search::exact`], whose classification needs no score).
+    pub score_evaluations: u64,
 }
 
 impl SearchOutcome {
@@ -228,7 +237,7 @@ impl NodeLists {
 /// A frontier node: a partial solution plus the MMCS bookkeeping needed to
 /// expand it independently of every other node.
 #[derive(Debug, Clone)]
-pub struct SearchNode {
+pub(crate) struct SearchNode {
     /// Elements of the partial solution, in insertion order.
     s: Vec<usize>,
     /// The partial solution as a bitset.
@@ -290,7 +299,7 @@ impl SearchNode {
 
 /// What the engine should do with a freshly popped node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeDisposition {
+pub(crate) enum NodeDisposition {
     /// Terminal: hand the solution to the callback; do not expand.
     Emit,
     /// Terminal: neither emit nor expand (e.g. threshold met but not minimal).
@@ -299,13 +308,13 @@ pub enum NodeDisposition {
     Expand,
 }
 
-/// The algorithm-specific decisions plugged into [`run_search`].
+/// The algorithm-specific decisions a [`Search`] plugs into the engine.
 ///
 /// The engine owns node expansion (candidate thinning, the criticality /
 /// minimality invariant, subset selection, frontier discipline, budgets);
 /// the driver decides when a node is terminal and which optional rules —
 /// non-hitting branch, redundant-group suppression, lower bounds — apply.
-pub trait SearchDriver {
+pub(crate) trait SearchDriver {
     /// Classify a popped node: emit, discard, or expand.
     fn classify(&mut self, system: &SetSystem, node: &SearchNode) -> NodeDisposition;
 
@@ -349,26 +358,15 @@ pub trait SearchDriver {
     fn unhittable_is_fatal(&self) -> bool {
         true
     }
-
-    /// Opt-in for the in-place undo walk used on unbudgeted DFS runs. A
-    /// driver may return `true` only when its [`Self::classify`] is exactly
-    /// the exact-MMCS rule — emit iff `uncov` is empty, expand otherwise —
-    /// and [`Self::wants_skip_branch`] is `false`; the fast path inlines that
-    /// classification instead of materialising nodes. Defaults to `false`.
-    fn supports_inplace_dfs(&self) -> bool {
-        false
-    }
 }
 
-/// Engine configuration: branching strategy, frontier order, budget.
+/// Engine configuration of one run: branching strategy, frontier order,
+/// budget.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SearchConfig {
-    /// How the next uncovered subset to hit is selected.
-    pub strategy: BranchStrategy,
-    /// Frontier discipline.
-    pub order: SearchOrder,
-    /// Resource limits.
-    pub budget: SearchBudget,
+struct SearchConfig {
+    strategy: BranchStrategy,
+    order: SearchOrder,
+    budget: SearchBudget,
 }
 
 /// Which lane of the frontier a node came from / its children go to.
@@ -383,19 +381,23 @@ enum Lane {
 }
 
 /// The live state of a budget-cut search: the entire pending frontier plus
-/// the cumulative emission/node counters. Obtained from
-/// [`run_search_resumable`] when a [`SearchBudget`] (or the callback) cuts a
-/// run short, and handed to [`resume_search`] to continue the traversal.
+/// the cumulative emission/node counters. Returned by [`Search::run`] when a
+/// [`SearchBudget`] (or the callback) cuts a run short, and handed to
+/// [`Search::with_resume`] to continue the traversal.
 ///
-/// Resuming with the same system, driver configuration, order, and strategy
-/// continues the *identical* deterministic traversal: the concatenation of
-/// the cover sequences emitted by the slices equals the sequence a single
-/// uncapped run emits. The token is self-describing (it records order and
-/// strategy and validates them on resume) but deliberately opaque otherwise.
+/// Resuming with the same system and driver continues the *identical*
+/// deterministic traversal: the concatenation of the cover sequences emitted
+/// by the slices equals the sequence a single uncapped run emits. The token
+/// records the order and strategy it was cut under, and a resumed run takes
+/// both from it; it is deliberately opaque otherwise.
 #[derive(Debug, Clone)]
 pub struct SuspendedSearch {
     order: SearchOrder,
     strategy: BranchStrategy,
+    /// Set by [`SuspendedSearch::patch`]: the frontier was grown in place
+    /// after subsets were appended, which only the exact driver and the
+    /// approximate driver at `ε = 0` may continue.
+    patched: bool,
     /// Best-lane entries: heap content as `(node, priority, seq)` (sorted by
     /// key for determinism of the stored form), or the DFS stack bottom→top
     /// with `seq = 0`.
@@ -413,16 +415,6 @@ pub struct SuspendedSearch {
 }
 
 impl SuspendedSearch {
-    /// The frontier order the suspended run was using.
-    pub fn order(&self) -> SearchOrder {
-        self.order
-    }
-
-    /// The branch strategy the suspended run was using.
-    pub fn strategy(&self) -> BranchStrategy {
-        self.strategy
-    }
-
     /// Number of pending frontier nodes held by the token.
     pub fn frontier_len(&self) -> usize {
         self.entries.len() + self.spill.len() + usize::from(self.pending.is_some())
@@ -468,6 +460,14 @@ impl SuspendedSearch {
     /// ([`crate::repair::repair_covers`], which requires the previous run to
     /// have been exhaustive) or restart.
     ///
+    /// A patched token may be resumed by [`Search::exact`], or by
+    /// [`Search::approx`] only at `ε = 0`, where the threshold test
+    /// degenerates to "hits every subset" for any approximation function
+    /// satisfying the paper's axioms, so the frontier's past pruning
+    /// decisions stay valid against the grown system. For `ε > 0` the
+    /// scores of already-classified nodes may shift under a delta, so
+    /// [`Search::run`] refuses the token — restart instead.
+    ///
     /// # Panics
     /// Panics if `appended_from > system.len()` or the token's element
     /// universe does not match `system`'s.
@@ -477,19 +477,11 @@ impl SuspendedSearch {
             "patch: appended_from {appended_from} exceeds the {}-subset system",
             system.len()
         );
-        let sample = self
-            .entries
-            .first()
-            .map(|(n, _, _)| n)
-            .or_else(|| self.spill.first().map(|(n, _)| n))
-            .or_else(|| self.pending.as_ref().map(|(n, _, _)| n));
-        if let Some(node) = sample {
-            assert_eq!(
-                node.cand.capacity(),
-                system.num_elements(),
-                "patch: the token was produced over a different element universe"
-            );
-        }
+        self.assert_universe(
+            system,
+            "patch: the token was produced over a different element universe",
+        );
+        self.patched = true;
         if appended_from == system.len() {
             return 0;
         }
@@ -588,6 +580,20 @@ impl SuspendedSearch {
         }
         reopened
     }
+
+    /// Panic with `message` unless the token's nodes are over `system`'s
+    /// element universe.
+    fn assert_universe(&self, system: &SetSystem, message: &str) {
+        let sample = self
+            .entries
+            .first()
+            .map(|(n, _, _)| n)
+            .or_else(|| self.spill.first().map(|(n, _)| n))
+            .or_else(|| self.pending.as_ref().map(|(n, _, _)| n));
+        if let Some(node) = sample {
+            assert_eq!(node.cand.capacity(), system.num_elements(), "{message}");
+        }
+    }
 }
 
 /// Wall-clock deadline shared by the main loop and the expansion internals.
@@ -602,138 +608,214 @@ impl DeadlineGuard {
     }
 }
 
-/// Run the search over `system` with the given driver and configuration,
-/// invoking `callback` once per emitted solution. The callback may return
-/// `false` to stop the search early.
-///
-/// Any suspended state is discarded; use [`run_search_resumable`] when a
-/// budget-cut run should be continuable.
-pub fn run_search<D, F>(
-    system: &SetSystem,
-    driver: &mut D,
-    config: &SearchConfig,
-    callback: &mut F,
-) -> SearchOutcome
-where
-    D: SearchDriver,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    run_search_resumable(system, driver, config, callback).0
+/// The algorithm a [`Search`] runs.
+#[derive(Clone)]
+enum Driver<'a> {
+    Exact,
+    Approx {
+        score: &'a dyn Fn(&FixedBitSet) -> f64,
+        config: ApproxEnumConfig<'a>,
+    },
 }
 
-/// Like [`run_search`], but a budget- or callback-cut run also returns a
-/// [`SuspendedSearch`] token that [`resume_search`] can continue from. The
-/// token is `Some` exactly when [`SearchOutcome::truncation`] is `Some`,
-/// with one exception: the in-place undo walk (unbudgeted exact DFS) does
-/// not materialise a frontier, so a callback stop there yields no token.
-pub fn run_search_resumable<D, F>(
-    system: &SetSystem,
-    driver: &mut D,
-    config: &SearchConfig,
-    callback: &mut F,
-) -> (SearchOutcome, Option<SuspendedSearch>)
-where
-    D: SearchDriver,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    if config.order == SearchOrder::Dfs
-        && config.budget.is_unlimited()
-        && !driver.wants_skip_branch()
-        && driver.supports_inplace_dfs()
+/// One hitting-set enumeration: which algorithm, how to walk its tree, and
+/// where to start. The single entry point of the crate — build the value,
+/// then [`Search::run`] it under a [`SearchBudget`].
+///
+/// * [`Search::exact`] enumerates the minimal hitting sets (MMCS, Figure 3
+///   of the ADC paper); [`Search::approx`] the minimal *approximate* ones
+///   w.r.t. a scoring function (`ADCEnum`, Figures 4–5).
+/// * [`Search::with_strategy`] / [`Search::with_order`] pick the subset to
+///   branch on and the frontier discipline.
+/// * [`Search::with_resume`] continues a budget-cut run from its
+///   [`SuspendedSearch`] token.
+/// * [`Search::within`] confines the root's candidate set, so the run
+///   enumerates exactly the solutions contained in the given element set.
+///
+/// ```
+/// use adc_hitting::{Search, SearchBudget, SearchOrder, SetSystem};
+///
+/// let system = SetSystem::from_indices(4, &[&[0, 1], &[1, 2], &[2, 3]]);
+/// let mut found = Vec::new();
+/// let (outcome, token) = Search::exact()
+///     .with_order(SearchOrder::ShortestFirst)
+///     .run(&system, SearchBudget::unlimited(), |cover| {
+///         found.push(cover.to_vec());
+///         true // keep enumerating
+///     });
+/// assert!(outcome.is_exhaustive() && token.is_none());
+/// found.sort();
+/// assert_eq!(found, vec![vec![0, 2], vec![1, 2], vec![1, 3]]);
+/// ```
+#[derive(Clone)]
+pub struct Search<'a> {
+    driver: Driver<'a>,
+    strategy: BranchStrategy,
+    order: SearchOrder,
+    resume: Option<SuspendedSearch>,
+    within: Option<&'a FixedBitSet>,
+}
+
+impl<'a> Search<'a> {
+    fn new(driver: Driver<'a>) -> Self {
+        Search {
+            driver,
+            strategy: BranchStrategy::default(),
+            order: SearchOrder::default(),
+            resume: None,
+            within: None,
+        }
+    }
+
+    /// Exact minimal hitting-set enumeration: a node is terminal exactly
+    /// when it hits every subset, and a subset no candidate can hit kills
+    /// the branch.
+    pub fn exact() -> Self {
+        Search::new(Driver::Exact)
+    }
+
+    /// Approximate minimal hitting-set enumeration: emit `S` when
+    /// `1 − score(S) ≤ config.epsilon` and no single-element removal stays
+    /// within the threshold. `score(X)` must return `f(X) ∈ [0, 1]` and
+    /// satisfy the monotonicity and indifference-to-redundancy axioms for
+    /// the enumeration to be complete (see [`crate::approx`]).
+    pub fn approx(score: &'a dyn Fn(&FixedBitSet) -> f64, config: ApproxEnumConfig<'a>) -> Self {
+        Search::new(Driver::Approx { score, config })
+    }
+
+    /// Select the branch strategy (default: [`BranchStrategy::MaxIntersection`]).
+    pub fn with_strategy(mut self, strategy: BranchStrategy) -> Self {
+        self.strategy = strategy;
+        self
+    }
+
+    /// Select the frontier order (default: [`SearchOrder::Dfs`]).
+    pub fn with_order(mut self, order: SearchOrder) -> Self {
+        self.order = order;
+        self
+    }
+
+    /// Continue the run `token` was cut from instead of starting at the
+    /// root. The order and strategy come from the token; the system and the
+    /// driver must be the original run's, and the traversal then continues
+    /// byte-identically.
+    pub fn with_resume(mut self, token: SuspendedSearch) -> Self {
+        self.resume = Some(token);
+        self
+    }
+
+    /// Restrict the root's candidate set to `allowed`: the run enumerates
+    /// exactly the solutions **contained in** `allowed`. Restricting the
+    /// root candidates is equivalent to running the unrestricted search on
+    /// the system whose subsets are intersected with `allowed` — for the
+    /// exact driver that means exactly the minimal hitting sets
+    /// `τ ⊆ allowed` (a set `τ ⊆ allowed` hits `S` iff it hits
+    /// `S ∩ allowed`, and minimality among subsets of `allowed` coincides
+    /// with global minimality because every proper subset of a subset of
+    /// `allowed` is itself a subset of `allowed`).
+    ///
+    /// This is the local-enumeration primitive behind
+    /// [`crate::repair::repair_covers_removal`], where `allowed` is a removed
+    /// subset's complement.
+    pub fn within(mut self, allowed: &'a FixedBitSet) -> Self {
+        self.within = Some(allowed);
+        self
+    }
+
+    /// Run the search over `system`, invoking `callback` once per emitted
+    /// solution; the callback may return `false` to stop early. `budget`
+    /// applies to this run alone (each resumed slice gets its own limits).
+    ///
+    /// Returns the run's [`SearchOutcome`] and, when a budget or the
+    /// callback cut it short, the [`SuspendedSearch`] token to resume from.
+    /// The token is `Some` exactly when [`SearchOutcome::truncation`] is
+    /// `Some`, with one exception: a fresh, unbudgeted depth-first exact run
+    /// takes the in-place undo walk, which materialises no frontier, so a
+    /// callback stop there yields no token.
+    ///
+    /// # Panics
+    /// Panics when the token or the root restriction is not over `system`'s
+    /// element universe, when both are given (a resumed frontier already
+    /// carries its restriction), when a patched token is resumed by the
+    /// approximate driver at `ε > 0` (see [`SuspendedSearch::patch`]), and
+    /// on an invalid [`ApproxEnumConfig`] (negative ε, or element groups of
+    /// the wrong length).
+    pub fn run<F>(
+        self,
+        system: &SetSystem,
+        budget: SearchBudget,
+        mut callback: F,
+    ) -> (SearchOutcome, Option<SuspendedSearch>)
+    where
+        F: FnMut(&FixedBitSet) -> bool,
     {
-        return (
-            run_dfs_inplace(system, driver, config.strategy, None, callback),
-            None,
-        );
+        let Search {
+            driver,
+            strategy,
+            order,
+            resume,
+            within,
+        } = self;
+        if let Some(allowed) = within {
+            assert_eq!(
+                allowed.capacity(),
+                system.num_elements(),
+                "Search::within: the restriction must be over the system's element universe"
+            );
+            assert!(
+                resume.is_none(),
+                "Search::within: a resumed frontier already carries its root restriction"
+            );
+        }
+        let config = match &resume {
+            Some(token) => {
+                token.assert_universe(
+                    system,
+                    "Search::with_resume: the token was produced over a different set system",
+                );
+                SearchConfig {
+                    strategy: token.strategy,
+                    order: token.order,
+                    budget,
+                }
+            }
+            None => SearchConfig {
+                strategy,
+                order,
+                budget,
+            },
+        };
+        match driver {
+            Driver::Exact => {
+                if resume.is_none() && config.order == SearchOrder::Dfs && budget.is_unlimited() {
+                    let outcome = run_dfs_inplace(system, config.strategy, within, &mut callback);
+                    return (outcome, None);
+                }
+                drive(
+                    system,
+                    &mut ExactDriver,
+                    &config,
+                    resume,
+                    within,
+                    &mut callback,
+                )
+            }
+            Driver::Approx {
+                score,
+                config: approx,
+            } => {
+                assert!(
+                    !resume.as_ref().is_some_and(|token| token.patched) || approx.epsilon == 0.0,
+                    "Search::with_resume: a patched frontier resumes soundly only at ε = 0"
+                );
+                let mut driver = ApproxDriver::new(score, &approx, system);
+                let (mut outcome, next) =
+                    drive(system, &mut driver, &config, resume, within, &mut callback);
+                outcome.score_evaluations = driver.score_evaluations();
+                (outcome, next)
+            }
+        }
     }
-    drive(system, driver, config, None, None, callback)
-}
-
-/// Like [`run_search`], but with the root's candidate set restricted to
-/// `allowed`: the run enumerates exactly the solutions **contained in**
-/// `allowed`. Restricting the root candidates is equivalent to running the
-/// unrestricted search on the system whose subsets are intersected with
-/// `allowed` — for the exact driver that means exactly the minimal hitting
-/// sets `τ ⊆ allowed` (a set `τ ⊆ allowed` hits `S` iff it hits
-/// `S ∩ allowed`, and minimality among subsets of `allowed` coincides with
-/// global minimality because every proper subset of a subset of `allowed` is
-/// itself a subset of `allowed`).
-///
-/// This is the local-enumeration primitive behind
-/// [`crate::repair::repair_covers_removal`], where `allowed` is a removed
-/// subset's complement.
-///
-/// # Panics
-/// Panics if `allowed` is not over the system's element universe.
-pub fn run_search_within<D, F>(
-    system: &SetSystem,
-    driver: &mut D,
-    allowed: &FixedBitSet,
-    config: &SearchConfig,
-    callback: &mut F,
-) -> SearchOutcome
-where
-    D: SearchDriver,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    assert_eq!(
-        allowed.capacity(),
-        system.num_elements(),
-        "run_search_within: the restriction must be over the system's element universe"
-    );
-    if config.order == SearchOrder::Dfs
-        && config.budget.is_unlimited()
-        && !driver.wants_skip_branch()
-        && driver.supports_inplace_dfs()
-    {
-        return run_dfs_inplace(system, driver, config.strategy, Some(allowed), callback);
-    }
-    drive(system, driver, config, None, Some(allowed), callback).0
-}
-
-/// Continue a search suspended by an earlier budget cut.
-///
-/// `config.budget` applies to this slice alone (each slice gets its own
-/// limits); `config.order` and `config.strategy` must match the original
-/// run's, and the driver must be configured identically — the resumed
-/// traversal is then byte-identical to the uncut one.
-///
-/// # Panics
-/// Panics when the order or strategy differs from the suspended run's, or
-/// when the token does not belong to `system` (element-universe mismatch).
-pub fn resume_search<D, F>(
-    system: &SetSystem,
-    driver: &mut D,
-    config: &SearchConfig,
-    suspended: SuspendedSearch,
-    callback: &mut F,
-) -> (SearchOutcome, Option<SuspendedSearch>)
-where
-    D: SearchDriver,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    assert_eq!(
-        config.order, suspended.order,
-        "resume_search: the frontier order must match the suspended run's"
-    );
-    assert_eq!(
-        config.strategy, suspended.strategy,
-        "resume_search: the branch strategy must match the suspended run's"
-    );
-    let sample = suspended
-        .entries
-        .first()
-        .map(|(n, _, _)| n)
-        .or_else(|| suspended.spill.first().map(|(n, _)| n))
-        .or_else(|| suspended.pending.as_ref().map(|(n, _, _)| n));
-    if let Some(node) = sample {
-        assert_eq!(
-            node.cand.capacity(),
-            system.num_elements(),
-            "resume_search: the token was produced over a different set system"
-        );
-    }
-    drive(system, driver, config, Some(suspended), None, callback)
 }
 
 /// The explicit-frontier engine shared by fresh and resumed runs.
@@ -756,6 +838,7 @@ where
         limit,
     });
 
+    let mut patched = false;
     let (mut frontier, mut pending, prior_nodes, prior_emitted, prior_contractions) = match resume {
         Some(token) => {
             let SuspendedSearch {
@@ -766,8 +849,10 @@ where
                 total_nodes_expanded,
                 total_emitted,
                 total_contractions,
+                patched: token_patched,
                 ..
             } = token;
+            patched = token_patched;
             let frontier = Frontier::restore(config, entries, spill, next_seq);
             let pending = pending.map(|(node, priority, spilled)| {
                 (
@@ -802,6 +887,12 @@ where
     let mut peak = frontier.len() + usize::from(pending.is_some());
 
     loop {
+        if let Some(max) = config.budget.max_emitted {
+            if emitted >= max {
+                stop = Some(TruncationReason::MaxEmitted);
+                break;
+            }
+        }
         if let Some(max) = config.budget.max_nodes {
             if nodes_expanded >= max {
                 stop = Some(TruncationReason::MaxNodes);
@@ -824,12 +915,6 @@ where
                 if !callback(&node.s_set) {
                     stop = Some(TruncationReason::Callback);
                     break;
-                }
-                if let Some(max) = config.budget.max_emitted {
-                    if emitted >= max {
-                        stop = Some(TruncationReason::MaxEmitted);
-                        break;
-                    }
                 }
             }
             NodeDisposition::Discard => {}
@@ -887,6 +972,7 @@ where
         SuspendedSearch {
             order: config.order,
             strategy: config.strategy,
+            patched,
             entries,
             spill,
             pending: pending.map(|(node, priority, lane)| (node, priority, lane == Lane::Spill)),
@@ -904,6 +990,7 @@ where
             truncation,
             peak_frontier: peak,
             contractions,
+            score_evaluations: 0,
         },
         suspended,
     )
@@ -1159,7 +1246,11 @@ fn choose_branch_subset(
 /// family needs its own element, and one element can hit at most one member,
 /// so the bound never overestimates and decreases by at most 1 per added
 /// element — exactly what best-first ordering requires.
-pub fn greedy_disjoint_lower_bound(system: &SetSystem, uncov: &[u32], cand: &FixedBitSet) -> usize {
+pub(crate) fn greedy_disjoint_lower_bound(
+    system: &SetSystem,
+    uncov: &[u32],
+    cand: &FixedBitSet,
+) -> usize {
     let mut used = FixedBitSet::new(system.num_elements());
     let mut bound = 0;
     for &fi in uncov {
@@ -1180,9 +1271,8 @@ pub fn greedy_disjoint_lower_bound(system: &SetSystem, uncov: &[u32], cand: &Fix
 // ---------------------------------------------------------------------------
 
 /// Shared mutable state of the in-place walk.
-struct InplaceCtx<'a, D, F> {
+struct InplaceCtx<'a, F> {
     system: &'a SetSystem,
-    driver: &'a mut D,
     callback: &'a mut F,
     strategy: BranchStrategy,
     nodes_expanded: u64,
@@ -1195,21 +1285,20 @@ struct InplaceCtx<'a, D, F> {
     peak_depth: usize,
 }
 
-/// The undo-hybrid fast path for unbudgeted DFS runs of drivers with exact
-/// classification (see [`SearchDriver::supports_inplace_dfs`]): the same
-/// tree, visited in the same order with the same prunes, but mutating one
-/// node state in place (push/insert on entry, pop/remove on exit) instead of
-/// snapshotting a `SearchNode` per child. This is what reclaims the
-/// snapshot overhead of the explicit engine on the exact MMCS kernel.
-fn run_dfs_inplace<D, F>(
+/// The undo-hybrid fast path for fresh, unbudgeted DFS runs of the exact
+/// driver: the same tree, visited in the same order with the same prunes,
+/// but mutating one node state in place (push/insert on entry, pop/remove on
+/// exit) instead of snapshotting a `SearchNode` per child. This is what
+/// reclaims the snapshot overhead of the explicit engine on the exact MMCS
+/// kernel. It inlines [`ExactDriver`]'s rules: emit iff `uncov` is empty, no
+/// non-hitting branch, no group suppression, unhittable subsets are fatal.
+fn run_dfs_inplace<F>(
     system: &SetSystem,
-    driver: &mut D,
     strategy: BranchStrategy,
     restrict: Option<&FixedBitSet>,
     callback: &mut F,
 ) -> SearchOutcome
 where
-    D: SearchDriver,
     F: FnMut(&FixedBitSet) -> bool,
 {
     let m = system.num_elements();
@@ -1221,7 +1310,6 @@ where
     let crit: Vec<Vec<u32>> = Vec::new();
     let mut ctx = InplaceCtx {
         system,
-        driver,
         callback,
         strategy,
         nodes_expanded: 0,
@@ -1246,12 +1334,13 @@ where
         },
         peak_frontier: ctx.peak_depth,
         contractions: 0,
+        score_evaluations: 0,
     }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn inplace_walk<D, F>(
-    ctx: &mut InplaceCtx<'_, D, F>,
+fn inplace_walk<F>(
+    ctx: &mut InplaceCtx<'_, F>,
     s: &mut Vec<usize>,
     s_set: &mut FixedBitSet,
     cand: &mut FixedBitSet,
@@ -1260,33 +1349,24 @@ fn inplace_walk<D, F>(
     can_hit: &FixedBitSet,
     depth: usize,
 ) where
-    D: SearchDriver,
     F: FnMut(&FixedBitSet) -> bool,
 {
     ctx.nodes_expanded += 1;
     ctx.peak_depth = ctx.peak_depth.max(depth);
     if uncov.is_empty() {
         // Criticality is maintained along every path, so a full cover is
-        // automatically minimal (the exact classification the driver
-        // promised via `supports_inplace_dfs`).
+        // automatically minimal.
         ctx.emitted += 1;
         if !(ctx.callback)(s_set) {
             ctx.stopped = true;
         }
         return;
     }
-    let chosen = match choose_branch_subset(
-        ctx.system,
-        uncov,
-        cand,
-        can_hit,
-        ctx.strategy,
-        ctx.driver.unhittable_is_fatal(),
-        None,
-    ) {
-        Ok(Some(fi)) => fi,
-        _ => return,
-    };
+    let chosen =
+        match choose_branch_subset(ctx.system, uncov, cand, can_hit, ctx.strategy, true, None) {
+            Ok(Some(fi)) => fi,
+            _ => return,
+        };
     let subset = &ctx.system.subsets()[chosen as usize];
 
     let c: Vec<usize> = cand.intersection(subset).to_vec();
@@ -1321,23 +1401,11 @@ fn inplace_walk<D, F>(
         }
         new_crit.push(covered);
 
-        let mut group_removed: Vec<usize> = Vec::new();
-        if let Some(group) = ctx.driver.group_of(e) {
-            for other in 0..ctx.system.num_elements() {
-                if other != e && ctx.driver.group_of(other) == Some(group) && cand.contains(other) {
-                    cand.remove(other);
-                    group_removed.push(other);
-                }
-            }
-        }
         s.push(e);
         s_set.insert(e);
         inplace_walk(ctx, s, s_set, cand, &kept, &new_crit, can_hit, depth + 1);
         s.pop();
         s_set.remove(e);
-        for other in group_removed {
-            cand.insert(other);
-        }
         cand.insert(e);
         if ctx.stopped {
             stopped_at = Some(idx);
@@ -1632,36 +1700,18 @@ mod tests {
             .unwrap()
     }
 
-    /// Exact-MMCS driver clone for engine-level tests (the real one lives in
-    /// `crate::mmcs`).
-    struct TestExactDriver;
-    impl SearchDriver for TestExactDriver {
-        fn classify(&mut self, _system: &SetSystem, node: &SearchNode) -> NodeDisposition {
-            if node.uncov().is_empty() {
-                NodeDisposition::Emit
-            } else {
-                NodeDisposition::Expand
-            }
-        }
-        fn lower_bound(&mut self, system: &SetSystem, node: &SearchNode) -> usize {
-            greedy_disjoint_lower_bound(system, node.uncov(), node.cand())
-        }
-    }
-
     fn collect_resumable(
         system: &SetSystem,
         config: &SearchConfig,
     ) -> (Vec<Vec<usize>>, SearchOutcome, Option<SuspendedSearch>) {
         let mut out = Vec::new();
-        let (outcome, suspended) = run_search_resumable(
-            system,
-            &mut TestExactDriver,
-            config,
-            &mut |s: &FixedBitSet| {
+        let (outcome, suspended) = Search::exact()
+            .with_strategy(config.strategy)
+            .with_order(config.order)
+            .run(system, config.budget, |s| {
                 out.push(s.to_vec());
                 true
-            },
-        );
+            });
         (out, outcome, suspended)
     }
 
@@ -1841,7 +1891,7 @@ mod tests {
         };
         let outcome = expand(
             &sys,
-            &mut TestExactDriver,
+            &mut ExactDriver,
             &config,
             &node,
             0,
@@ -1888,16 +1938,12 @@ mod tests {
         while let Some(token) = suspended.take() {
             guard_iters += 1;
             assert!(guard_iters < 10, "resume failed to make progress");
-            let (_, next) = resume_search(
-                &sys,
-                &mut TestExactDriver,
-                &config,
-                token,
-                &mut |s: &FixedBitSet| {
+            let (_, next) = Search::exact()
+                .with_resume(token)
+                .run(&sys, config.budget, |s| {
                     covers.push(s.to_vec());
                     true
-                },
-            );
+                });
             suspended = next;
         }
         assert_eq!(covers, uncapped, "cut + resume must replay the sequence");
@@ -1961,35 +2007,23 @@ mod tests {
         let (reference, outcome, _) = collect_resumable(&sys, &config);
         assert!(outcome.is_exhaustive());
 
-        let mut covers = Vec::new();
         let slice_config = SearchConfig {
             budget: config.budget.with_max_nodes(13),
             ..config
         };
-        let (_, mut suspended) = run_search_resumable(
-            &sys,
-            &mut TestExactDriver,
-            &slice_config,
-            &mut |s: &FixedBitSet| {
-                covers.push(s.to_vec());
-                true
-            },
-        );
+        let (mut covers, _, mut suspended) = collect_resumable(&sys, &slice_config);
         let mut slices = 1;
         while let Some(token) = suspended.take() {
             slices += 1;
             assert!(slices < 10_000, "runaway resume loop");
             assert_eq!(token.total_emitted(), covers.len());
-            let (_, next) = resume_search(
-                &sys,
-                &mut TestExactDriver,
-                &slice_config,
-                token,
-                &mut |s: &FixedBitSet| {
-                    covers.push(s.to_vec());
-                    true
-                },
-            );
+            let (_, next) =
+                Search::exact()
+                    .with_resume(token)
+                    .run(&sys, slice_config.budget, |s| {
+                        covers.push(s.to_vec());
+                        true
+                    });
             suspended = next;
         }
         assert!(slices > 2, "the slice budget never fired");
@@ -2001,27 +2035,41 @@ mod tests {
 
     #[test]
     fn resume_rejects_mismatched_configuration() {
+        // A resumed run takes its order and strategy from the token, so a
+        // search value configured differently still replays the suspended
+        // traversal; a token from another element universe is rejected.
         let sys = SetSystem::from_indices(4, &[&[0, 1], &[2, 3]]);
         let config = SearchConfig {
             strategy: BranchStrategy::default(),
             order: SearchOrder::ShortestFirst,
             budget: SearchBudget::unlimited().with_max_nodes(1),
         };
-        let (_, _, suspended) = collect_resumable(&sys, &config);
+        let (reference, _, _) = collect_resumable(
+            &sys,
+            &SearchConfig {
+                budget: SearchBudget::unlimited(),
+                ..config
+            },
+        );
+        let (mut covers, _, suspended) = collect_resumable(&sys, &config);
         let token = suspended.expect("one-node budget must suspend");
-        let wrong_order = SearchConfig {
-            order: SearchOrder::Dfs,
-            ..config
-        };
+        let (outcome, _) = Search::exact()
+            .with_order(SearchOrder::Dfs)
+            .with_strategy(BranchStrategy::First)
+            .with_resume(token.clone())
+            .run(&sys, SearchBudget::unlimited(), |s| {
+                covers.push(s.to_vec());
+                true
+            });
+        assert!(outcome.is_exhaustive());
+        assert_eq!(covers, reference, "the token's order must win");
+
+        let other = SetSystem::from_indices(5, &[&[0, 1], &[2, 3]]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            resume_search(
-                &sys,
-                &mut TestExactDriver,
-                &wrong_order,
-                token,
-                &mut |_: &FixedBitSet| true,
-            )
+            Search::exact()
+                .with_resume(token)
+                .run(&other, SearchBudget::unlimited(), |_| true)
         }));
-        assert!(result.is_err(), "order mismatch must be rejected");
+        assert!(result.is_err(), "universe mismatch must be rejected");
     }
 }

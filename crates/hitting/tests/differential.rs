@@ -15,11 +15,8 @@ use adc_hitting::brute::{
     brute_force_minimal_approx_hitting_sets, brute_force_minimal_hitting_sets,
 };
 use adc_hitting::{
-    approx_minimal_hitting_sets, enumerate_minimal_hitting_sets, patch_approx_search,
-    patch_minimal_hitting_search, repair_covers, resume_approx_minimal_hitting_sets,
-    resume_minimal_hitting_sets, search_approx_minimal_hitting_sets_resumable,
-    search_minimal_hitting_sets, search_minimal_hitting_sets_resumable, shrink_covers,
-    ApproxEnumConfig, BranchStrategy, SearchBudget, SearchOrder, SetSystem,
+    repair_covers, shrink_covers, ApproxEnumConfig, BranchStrategy, Search, SearchBudget,
+    SearchOrder, SearchOutcome, SetSystem, SuspendedSearch,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -38,32 +35,53 @@ fn build_system(universe_seed: usize, raw_subsets: &[Vec<usize>]) -> SetSystem {
     SetSystem::from_indices(num_elements, &folded_refs)
 }
 
-/// Collect MMCS results for a strategy.
-fn mmcs(system: &SetSystem, strategy: BranchStrategy) -> Vec<FixedBitSet> {
+/// Run `search` under `budget`, collecting every emission.
+fn collect(
+    search: Search<'_>,
+    system: &SetSystem,
+    budget: SearchBudget,
+) -> (Vec<FixedBitSet>, SearchOutcome, Option<SuspendedSearch>) {
     let mut out = Vec::new();
-    enumerate_minimal_hitting_sets(system, strategy, |s| {
+    let (outcome, token) = search.run(system, budget, |s| {
         out.push(s.clone());
         true
     });
-    out
+    (out, outcome, token)
+}
+
+/// Collect MMCS results for a strategy.
+fn mmcs(system: &SetSystem, strategy: BranchStrategy) -> Vec<FixedBitSet> {
+    collect(
+        Search::exact().with_strategy(strategy),
+        system,
+        SearchBudget::unlimited(),
+    )
+    .0
 }
 
 /// Collect exact MMCS results under the shortest-first frontier, asserting
 /// the run reports itself exhaustive.
 fn mmcs_shortest_first(system: &SetSystem, strategy: BranchStrategy) -> Vec<FixedBitSet> {
-    let mut out = Vec::new();
-    let outcome = search_minimal_hitting_sets(
+    let (out, outcome, _) = collect(
+        Search::exact()
+            .with_strategy(strategy)
+            .with_order(SearchOrder::ShortestFirst),
         system,
-        strategy,
-        SearchOrder::ShortestFirst,
         SearchBudget::unlimited(),
-        &mut |s: &FixedBitSet| {
-            out.push(s.clone());
-            true
-        },
     );
     assert!(outcome.is_exhaustive());
     out
+}
+
+/// Collect approximate results under `config`.
+fn approx_minimal_hitting_sets(
+    system: &SetSystem,
+    score: impl Fn(&FixedBitSet) -> f64,
+    config: &ApproxEnumConfig<'_>,
+    strategy: BranchStrategy,
+) -> Vec<FixedBitSet> {
+    let search = Search::approx(&score, config.clone()).with_strategy(strategy);
+    collect(search, system, SearchBudget::unlimited()).0
 }
 
 /// Assert an emission sequence is nondecreasing in cover size.
@@ -101,64 +119,43 @@ fn canon(mut sets: Vec<FixedBitSet>) -> Vec<Vec<usize>> {
     v
 }
 
-/// Collect the exact enumeration as a sequence of node-budget slices,
-/// resuming from the suspend token until exhaustion. Returns the
-/// concatenated emission sequence and the number of slices run.
+/// Run `search` as a sequence of `slice_budget` slices, resuming from the
+/// suspend token until exhaustion. `fresh` rebuilds the search value (same
+/// driver) for each resumed slice. Returns the concatenated emission
+/// sequence and the number of slices run.
+fn sliced<'a>(
+    system: &SetSystem,
+    fresh: impl Fn() -> Search<'a>,
+    search: Search<'a>,
+    slice_budget: SearchBudget,
+) -> (Vec<Vec<usize>>, usize) {
+    let mut covers: Vec<Vec<usize>> = Vec::new();
+    let mut push = |s: &FixedBitSet| {
+        covers.push(s.to_vec());
+        true
+    };
+    let (_, mut suspended) = search.run(system, slice_budget, &mut push);
+    let mut slices = 1;
+    while let Some(token) = suspended.take() {
+        slices += 1;
+        assert!(slices < 100_000, "runaway resume loop");
+        suspended = fresh()
+            .with_resume(token)
+            .run(system, slice_budget, &mut push)
+            .1;
+    }
+    (covers, slices)
+}
+
+/// Collect the exact enumeration as a sequence of budget slices.
 fn mmcs_sliced(
     system: &SetSystem,
     strategy: BranchStrategy,
     order: SearchOrder,
     slice_budget: SearchBudget,
 ) -> (Vec<Vec<usize>>, usize) {
-    let mut covers: Vec<Vec<usize>> = Vec::new();
-    let (_, mut suspended) = search_minimal_hitting_sets_resumable(
-        system,
-        strategy,
-        order,
-        slice_budget,
-        &mut |s: &FixedBitSet| {
-            covers.push(s.to_vec());
-            true
-        },
-    );
-    let mut slices = 1;
-    while let Some(token) = suspended.take() {
-        slices += 1;
-        assert!(slices < 100_000, "runaway resume loop");
-        let (_, next) =
-            resume_minimal_hitting_sets(system, slice_budget, token, &mut |s: &FixedBitSet| {
-                covers.push(s.to_vec());
-                true
-            });
-        suspended = next;
-    }
-    (covers, slices)
-}
-
-/// Same slicing harness for the approximate enumerator.
-fn approx_sliced(
-    system: &SetSystem,
-    score: impl Fn(&FixedBitSet) -> f64,
-    config: &ApproxEnumConfig<'_>,
-) -> (Vec<Vec<usize>>, usize) {
-    let mut covers: Vec<Vec<usize>> = Vec::new();
-    let (_, _, mut suspended) =
-        search_approx_minimal_hitting_sets_resumable(system, &score, config, &mut |s| {
-            covers.push(s.to_vec());
-            true
-        });
-    let mut slices = 1;
-    while let Some(token) = suspended.take() {
-        slices += 1;
-        assert!(slices < 100_000, "runaway resume loop");
-        let (_, _, next) =
-            resume_approx_minimal_hitting_sets(system, &score, config, token, &mut |s| {
-                covers.push(s.to_vec());
-                true
-            });
-        suspended = next;
-    }
-    (covers, slices)
+    let search = Search::exact().with_strategy(strategy).with_order(order);
+    sliced(system, Search::exact, search, slice_budget)
 }
 
 proptest! {
@@ -181,11 +178,12 @@ proptest! {
                 "MMCS/{:?} diverged from brute force", strategy
             );
 
-            let config = ApproxEnumConfig::new(0.0).with_strategy(strategy);
+            let config = ApproxEnumConfig::new(0.0);
             let approx = canon(approx_minimal_hitting_sets(
                 &system,
                 coverage_score(&system),
                 &config,
+                strategy,
             ));
             prop_assert_eq!(
                 &approx, &reference,
@@ -207,7 +205,13 @@ proptest! {
             );
         }
         let config = ApproxEnumConfig::new(0.0);
-        for set in approx_minimal_hitting_sets(&system, coverage_score(&system), &config) {
+        let found = approx_minimal_hitting_sets(
+            &system,
+            coverage_score(&system),
+            &config,
+            BranchStrategy::MaxIntersection,
+        );
+        for set in found {
             prop_assert!(
                 system.is_minimal_hitting_set(&set),
                 "approx(ε=0) emitted a non-minimal cover {:?}", set.to_vec()
@@ -255,10 +259,11 @@ proptest! {
                 BranchStrategy::MinIntersection,
                 BranchStrategy::First,
             ] {
-                let dfs_cfg = ApproxEnumConfig::new(eps).with_strategy(strategy);
-                let sf_cfg = dfs_cfg.clone().with_order(SearchOrder::ShortestFirst);
-                let dfs = approx_minimal_hitting_sets(&system, &score, &dfs_cfg);
-                let sf = approx_minimal_hitting_sets(&system, &score, &sf_cfg);
+                let dfs = Search::approx(&score, ApproxEnumConfig::new(eps))
+                    .with_strategy(strategy);
+                let sf = dfs.clone().with_order(SearchOrder::ShortestFirst);
+                let (dfs, _, _) = collect(dfs, &system, SearchBudget::unlimited());
+                let (sf, _, _) = collect(sf, &system, SearchBudget::unlimited());
                 assert_nondecreasing_sizes(&sf, &format!("approx ε={eps}/{strategy:?}"));
                 prop_assert_eq!(
                     canon(dfs), canon(sf),
@@ -280,17 +285,14 @@ proptest! {
         // uncapped run's *sequence* (not just its set), for both orders.
         let system = build_system(universe_seed, &raw_subsets);
         for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
-            let mut reference: Vec<Vec<usize>> = Vec::new();
-            let outcome = search_minimal_hitting_sets(
+            let (reference, outcome, _) = collect(
+                Search::exact()
+                    .with_strategy(BranchStrategy::MaxIntersection)
+                    .with_order(order),
                 &system,
-                BranchStrategy::MaxIntersection,
-                order,
                 SearchBudget::unlimited(),
-                &mut |s: &FixedBitSet| {
-                    reference.push(s.to_vec());
-                    true
-                },
             );
+            let reference: Vec<Vec<usize>> = reference.iter().map(|s| s.to_vec()).collect();
             prop_assert!(outcome.is_exhaustive());
 
             let (by_nodes, _) = mmcs_sliced(
@@ -323,24 +325,16 @@ proptest! {
         let score = coverage_score(&system);
         for eps in [0.0, epsilon] {
             for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
-                let uncapped_cfg = ApproxEnumConfig::new(eps).with_order(order);
-                let mut reference: Vec<Vec<usize>> = Vec::new();
-                let (_, outcome, token) = search_approx_minimal_hitting_sets_resumable(
-                    &system,
-                    &score,
-                    &uncapped_cfg,
-                    &mut |s| {
-                        reference.push(s.to_vec());
-                        true
-                    },
-                );
+                let fresh = || Search::approx(&score, ApproxEnumConfig::new(eps));
+                let uncapped = fresh().with_order(order);
+                let (reference, outcome, token) =
+                    collect(uncapped.clone(), &system, SearchBudget::unlimited());
+                let reference: Vec<Vec<usize>> = reference.iter().map(|s| s.to_vec()).collect();
                 prop_assert!(outcome.is_exhaustive());
                 prop_assert!(token.is_none());
 
-                let sliced_cfg = uncapped_cfg
-                    .clone()
-                    .with_budget(SearchBudget::unlimited().with_max_nodes(node_slice));
-                let (covers, _) = approx_sliced(&system, &score, &sliced_cfg);
+                let slice_budget = SearchBudget::unlimited().with_max_nodes(node_slice);
+                let (covers, _) = sliced(&system, fresh, uncapped, slice_budget);
                 prop_assert_eq!(&covers, &reference, "ε={} {:?}", eps, order);
             }
         }
@@ -361,17 +355,14 @@ proptest! {
         let unbounded = canon(mmcs(&system, BranchStrategy::MaxIntersection));
 
         let bounded_budget = SearchBudget::unlimited().with_max_frontier_nodes(cap);
-        let mut bounded: Vec<Vec<usize>> = Vec::new();
-        let outcome = search_minimal_hitting_sets(
+        let (bounded, outcome, _) = collect(
+            Search::exact()
+                .with_strategy(BranchStrategy::MaxIntersection)
+                .with_order(SearchOrder::ShortestFirst),
             &system,
-            BranchStrategy::MaxIntersection,
-            SearchOrder::ShortestFirst,
             bounded_budget,
-            &mut |s: &FixedBitSet| {
-                bounded.push(s.to_vec());
-                true
-            },
         );
+        let bounded: Vec<Vec<usize>> = bounded.iter().map(|s| s.to_vec()).collect();
         prop_assert!(outcome.is_exhaustive());
         let mut bounded_set = bounded.clone();
         bounded_set.sort();
@@ -400,27 +391,14 @@ proptest! {
             BranchStrategy::MinIntersection,
             BranchStrategy::First,
         ] {
-            let mut inplace: Vec<Vec<usize>> = Vec::new();
-            search_minimal_hitting_sets(
+            let search = Search::exact()
+                .with_strategy(strategy)
+                .with_order(SearchOrder::Dfs);
+            let (inplace, _, _) = collect(search.clone(), &system, SearchBudget::unlimited());
+            let (explicit, _, _) = collect(
+                search,
                 &system,
-                strategy,
-                SearchOrder::Dfs,
-                SearchBudget::unlimited(),
-                &mut |s: &FixedBitSet| {
-                    inplace.push(s.to_vec());
-                    true
-                },
-            );
-            let mut explicit: Vec<Vec<usize>> = Vec::new();
-            search_minimal_hitting_sets(
-                &system,
-                strategy,
-                SearchOrder::Dfs,
                 SearchBudget::unlimited().with_max_nodes(u64::MAX),
-                &mut |s: &FixedBitSet| {
-                    explicit.push(s.to_vec());
-                    true
-                },
             );
             prop_assert_eq!(&inplace, &explicit, "strategy {:?}", strategy);
         }
@@ -445,7 +423,12 @@ proptest! {
             epsilon,
         ));
         let config = ApproxEnumConfig::new(epsilon);
-        let found = canon(approx_minimal_hitting_sets(&system, &score, &config));
+        let found = canon(approx_minimal_hitting_sets(
+            &system,
+            &score,
+            &config,
+            BranchStrategy::MaxIntersection,
+        ));
         prop_assert_eq!(found, reference);
     }
 }
@@ -543,32 +526,22 @@ proptest! {
         // (and hence appears in its full answer), and no cover — pre- or
         // post-patch — is ever emitted twice.
         let system = build_system(universe_seed, &raw_subsets);
-        let mut covers: Vec<FixedBitSet> = Vec::new();
-        let (_, suspended) = search_minimal_hitting_sets_resumable(
+        let (mut covers, _, suspended) = collect(
+            Search::exact()
+                .with_strategy(BranchStrategy::MaxIntersection)
+                .with_order(SearchOrder::ShortestFirst),
             &system,
-            BranchStrategy::MaxIntersection,
-            SearchOrder::ShortestFirst,
             SearchBudget::unlimited().with_max_nodes(budget_nodes),
-            &mut |s: &FixedBitSet| {
-                covers.push(s.clone());
-                true
-            },
         );
         let Some(mut token) = suspended else { continue };
         let pre_patch = covers.len();
         let (grown, appended_from) = grow_system(&system, &raw_appended);
-        patch_minimal_hitting_search(&mut token, &grown, appended_from);
+        token.patch(&grown, appended_from);
         let mut next = Some(token);
         while let Some(t) = next.take() {
-            let (_, again) = resume_minimal_hitting_sets(
-                &grown,
-                SearchBudget::unlimited(),
-                t,
-                &mut |s: &FixedBitSet| {
-                    covers.push(s.clone());
-                    true
-                },
-            );
+            let (mut more, _, again) =
+                collect(Search::exact().with_resume(t), &grown, SearchBudget::unlimited());
+            covers.append(&mut more);
             next = again;
         }
         let full: std::collections::HashSet<Vec<usize>> =
@@ -597,49 +570,34 @@ proptest! {
         budget_nodes in 1u64..24,
     ) {
         let system = build_system(universe_seed, &raw_subsets);
-        let config = ApproxEnumConfig::new(0.0)
-            .with_order(SearchOrder::ShortestFirst)
-            .with_budget(SearchBudget::unlimited().with_max_nodes(budget_nodes));
-        let mut covers: Vec<FixedBitSet> = Vec::new();
-        let (_, _, suspended) = search_approx_minimal_hitting_sets_resumable(
+        let score = coverage_score(&system);
+        let (mut covers, _, suspended) = collect(
+            Search::approx(&score, ApproxEnumConfig::new(0.0))
+                .with_order(SearchOrder::ShortestFirst),
             &system,
-            coverage_score(&system),
-            &config,
-            &mut |s| {
-                covers.push(s.clone());
-                true
-            },
+            SearchBudget::unlimited().with_max_nodes(budget_nodes),
         );
         let Some(mut token) = suspended else { continue };
         let pre_patch = covers.len();
         let (grown, appended_from) = grow_system(&system, &raw_appended);
-        // ε > 0 must refuse to patch; ε = 0 must succeed.
-        let mut reject_probe = token.clone();
-        prop_assert_eq!(
-            patch_approx_search(
-                &mut reject_probe,
-                &grown,
-                &ApproxEnumConfig::new(0.25),
-                appended_from
-            ),
-            None
-        );
-        prop_assert!(
-            patch_approx_search(&mut token, &grown, &config, appended_from).is_some()
-        );
-        let resume_config = ApproxEnumConfig::new(0.0).with_order(SearchOrder::ShortestFirst);
+        token.patch(&grown, appended_from);
+        let grown_score = coverage_score(&grown);
+        // ε > 0 must refuse the patched frontier; ε = 0 must accept it.
+        let reject_probe = token.clone();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Search::approx(&grown_score, ApproxEnumConfig::new(0.25))
+                .with_resume(reject_probe)
+                .run(&grown, SearchBudget::unlimited(), |_| true)
+        }));
+        prop_assert!(refused.is_err());
         let mut next = Some(token);
         while let Some(t) = next.take() {
-            let (_, _, again) = resume_approx_minimal_hitting_sets(
+            let (mut more, _, again) = collect(
+                Search::approx(&grown_score, ApproxEnumConfig::new(0.0)).with_resume(t),
                 &grown,
-                coverage_score(&grown),
-                &resume_config,
-                t,
-                &mut |s| {
-                    covers.push(s.clone());
-                    true
-                },
+                SearchBudget::unlimited(),
             );
+            covers.append(&mut more);
             next = again;
         }
         for s in &covers[pre_patch..] {

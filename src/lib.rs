@@ -70,11 +70,10 @@ pub mod prelude {
     pub use adc_approx::{ApproxKind, ApproximationFunction};
     pub use adc_core::{
         baseline::{AFastDcPipeline, DcFinderPipeline, SearchMinimalCovers},
-        enumerate_adcs, f1_score, g_recall, resume_adcs, AdcMiner, AdcMonitor, BranchStrategy,
-        DeltaStats, DenialConstraint, EnumerationOptions, EnumerationResume, EvidenceStrategy,
-        MinerConfig, MiningResult, MiningResume, MonitorError, PredicateSpace, RefreshPath,
-        SampleThreshold, SearchBudget, SearchOrder, SpaceConfig, SuspendedSearch, TruncationInfo,
-        TruncationReason, TupleRole,
+        enumerate_adcs, f1_score, g_recall, AdcMiner, AdcMonitor, BranchStrategy, DeltaStats,
+        DenialConstraint, EnumerationOptions, EvidenceStrategy, MinerConfig, MiningResult,
+        MiningResume, MonitorError, PredicateSpace, RefreshPath, SampleThreshold, SearchBudget,
+        SearchOrder, SpaceConfig, SuspendedSearch, TruncationInfo, TruncationReason, TupleRole,
     };
     pub use adc_data::{AttributeType, Relation, Schema, Value};
     pub use adc_datasets::{CorrelationSpec, Dataset, DatasetGenerator, NoiseConfig};

@@ -262,3 +262,91 @@ fn budgeted_prefix_is_a_prefix_of_the_unbudgeted_emission() {
     assert!(budgeted_ids.len() < full_ids.len());
     assert_eq!(budgeted_ids[..], full_ids[..budgeted_ids.len()]);
 }
+
+#[test]
+fn dfs_capped_run_is_the_uncapped_prefix_and_cap_slices_replay_it() {
+    // The DC cap is exact under DFS order too: a run capped at K returns
+    // exactly the first K DCs of the uncapped DFS emission and says the
+    // result cap stopped it, and K-sized resume slices concatenate to the
+    // uncapped sequence.
+    let dirty = dirty_airport();
+    let epsilon = 0.01;
+    let dfs = |max_dcs: Option<usize>| {
+        let mut config = MinerConfig::new(epsilon);
+        config.max_dcs = max_dcs;
+        config
+    };
+    let full = AdcMiner::new(dfs(None)).mine(&dirty);
+    assert!(full.truncation.is_none());
+    let full_ids = ids(&full);
+    let k = full.dcs.len() / 3;
+    assert!(k >= 5, "dirty frontier too small for the test to mean much");
+
+    let capped = AdcMiner::new(dfs(Some(k))).mine(&dirty);
+    assert_eq!(ids(&capped), full_ids[..k].to_vec());
+    let truncation = capped.truncation.expect("capped run must be truncated");
+    assert_eq!(truncation.reason, TruncationReason::MaxEmitted);
+    assert_eq!(truncation.complete_below_size, None);
+
+    let (dcs, slices, last) = mine_in_slices(dfs(Some(k)), &dirty);
+    assert!(slices > 2, "the DC cap never fired");
+    assert!(last.truncation.is_none(), "final slice must be exhaustive");
+    assert_eq!(dcs, full_ids, "cap-sized DFS slices diverged");
+}
+
+#[test]
+fn a_cap_at_or_above_the_answer_returns_all_of_it() {
+    // `min(max_dcs, |answer|)` DCs in both orders, and a cap of zero mines
+    // nothing but still hands back a resumable token.
+    let dirty = dirty_airport();
+    for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
+        let config = MinerConfig::new(0.01).with_order(order);
+        let full = AdcMiner::new(config).mine(&dirty);
+        let n = full.dcs.len();
+        for cap in [n, n + 1] {
+            let capped = AdcMiner::new(config.with_max_dcs(cap)).mine(&dirty);
+            assert_eq!(ids(&capped), ids(&full), "{order:?} cap {cap}");
+        }
+        let zero = AdcMiner::new(config.with_max_dcs(0)).mine(&dirty);
+        assert!(zero.dcs.is_empty(), "{order:?}: a zero cap mined DCs");
+        assert_eq!(
+            zero.truncation.map(|t| t.reason),
+            Some(TruncationReason::MaxEmitted)
+        );
+        let resumed = AdcMiner::new(config).resume(zero.resume.expect("zero cap must suspend"));
+        assert_eq!(ids(&resumed), ids(&full), "{order:?}: zero-cap resume");
+    }
+}
+
+#[test]
+fn every_raw_cover_of_the_grouped_enumeration_is_a_returned_dc() {
+    // The invariant the exact DC cap rests on. Group suppression lets at
+    // most one predicate per structure group into a cover, so no cover's DC
+    // is trivial, and the empty cover is only ever the root's sole answer.
+    // Hence the raw covers the engine emitted (`enum_stats.emitted`) are
+    // exactly the returned DCs, apart from a sole empty cover.
+    for dataset in Dataset::ALL {
+        let relation = dataset.generator().generate(24, 3);
+        for approx in [ApproxKind::F1, ApproxKind::F2, ApproxKind::F3] {
+            for epsilon in [0.0, 0.02, 0.2, 1.0] {
+                for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
+                    let config = MinerConfig::new(epsilon)
+                        .with_approx(approx)
+                        .with_order(order)
+                        .with_budget(SearchBudget::unlimited().with_max_nodes(5_000));
+                    let result = AdcMiner::new(config).mine(&relation);
+                    let emitted = result.enum_stats.emitted as usize;
+                    let context = format!("{dataset:?} {approx:?} ε={epsilon} {order:?}");
+                    if result.dcs.is_empty() && emitted == 1 {
+                        // The sole empty cover: emitted at the root, which
+                        // then has nothing left to expand.
+                        assert_eq!(result.enum_stats.recursive_calls, 1, "{context}");
+                        assert!(result.truncation.is_none(), "{context}");
+                    } else {
+                        assert_eq!(emitted, result.dcs.len(), "{context}");
+                    }
+                }
+            }
+        }
+    }
+}

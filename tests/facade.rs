@@ -34,6 +34,9 @@ fn every_reexported_module_path_resolves() {
     // adc::hitting
     let _strategy = adc::hitting::BranchStrategy::default();
     let _sys = adc::hitting::SetSystem::from_indices(3, &[&[0, 1]]);
+    let _search = adc::hitting::Search::exact();
+    let _config = adc::hitting::ApproxEnumConfig::new(0.1);
+    let _budget = adc::hitting::SearchBudget::unlimited();
 
     // adc::core
     let _miner = adc::core::AdcMiner::new(adc::core::MinerConfig::new(0.1));
