@@ -1,15 +1,14 @@
-//! Criterion benchmark: naive vs cluster/bitmask vs parallel tiled
-//! evidence-set construction (the ablation behind the AFASTDC vs DCFinder
-//! gap in Figure 7, plus the thread-scaling of the tiled builder).
+//! Criterion benchmark: naive vs cluster/bitmask vs sweep evidence-set
+//! construction (the ablation behind the AFASTDC vs DCFinder gap in
+//! Figure 7, plus the thread scaling of the sweep kernel).
 //!
-//! The `parallel/t*` entries all produce output bit-identical to `cluster`;
-//! they differ only in wall-clock time. On a single-core machine the
-//! parallel entries mostly measure tiling/merge overhead — see
-//! `crates/bench/README.md` for a recorded comparison table.
+//! The `sweep/*` entries produce output canonically equal to `cluster` and
+//! bit-identical to each other at every thread count; they differ only in
+//! wall-clock time. See `crates/bench/README.md` for a recorded run.
 
 use adc_datasets::Dataset;
 use adc_evidence::{
-    ClusterEvidenceBuilder, EvidenceBuilder, NaiveEvidenceBuilder, ParallelEvidenceBuilder,
+    ClusterEvidenceBuilder, EvidenceBuilder, NaiveEvidenceBuilder, SweepEvidenceBuilder,
 };
 use adc_predicates::{PredicateSpace, SpaceConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -28,50 +27,34 @@ fn bench(c: &mut Criterion) {
                     .distinct_count()
             })
         });
-        group.bench_function(format!("cluster/{}", dataset.name()), |b| {
-            b.iter(|| {
-                ClusterEvidenceBuilder
-                    .build(&relation, &space, false)
-                    .evidence_set
-                    .distinct_count()
-            })
-        });
-        group.bench_function(format!("cluster+vios/{}", dataset.name()), |b| {
-            b.iter(|| {
-                ClusterEvidenceBuilder
-                    .build(&relation, &space, true)
-                    .evidence_set
-                    .distinct_count()
-            })
-        });
-        for threads in [2, 4, 8] {
-            group.bench_function(format!("parallel/t{threads}/{}", dataset.name()), |b| {
+        for (label, track_vios) in [("", false), ("+vios", true)] {
+            group.bench_function(format!("cluster{label}/{}", dataset.name()), |b| {
                 b.iter(|| {
-                    ParallelEvidenceBuilder::new(threads)
-                        .build(&relation, &space, false)
+                    ClusterEvidenceBuilder
+                        .build(&relation, &space, track_vios)
+                        .evidence_set
+                        .distinct_count()
+                })
+            });
+            group.bench_function(format!("sweep/t2{label}/{}", dataset.name()), |b| {
+                b.iter(|| {
+                    SweepEvidenceBuilder::new(2)
+                        .build(&relation, &space, track_vios)
                         .evidence_set
                         .distinct_count()
                 })
             });
         }
-        group.bench_function(format!("parallel/t4+vios/{}", dataset.name()), |b| {
-            b.iter(|| {
-                ParallelEvidenceBuilder::new(4)
-                    .build(&relation, &space, true)
-                    .evidence_set
-                    .distinct_count()
-            })
-        });
     }
     group.finish();
 
-    // The thread-scaling headline: a 1k-row relation, sequential vs 1/2/4/8
-    // worker threads (compare `scaling/seq` against `scaling/t*`).
+    // Thread scaling: a 1k-row relation, the sequential cluster kernel
+    // against the sweep on 1/2/4 worker threads.
     let relation = Dataset::Tax.generator().generate(1000, 3);
     let space = PredicateSpace::build(&relation, SpaceConfig::default());
     let mut scaling = c.benchmark_group("evidence_scaling_1k");
     scaling.sample_size(10);
-    scaling.bench_function("seq", |b| {
+    scaling.bench_function("cluster", |b| {
         b.iter(|| {
             ClusterEvidenceBuilder
                 .build(&relation, &space, false)
@@ -79,10 +62,10 @@ fn bench(c: &mut Criterion) {
                 .distinct_count()
         })
     });
-    for threads in [1, 2, 4, 8] {
-        scaling.bench_function(format!("t{threads}"), |b| {
+    for threads in [1, 2, 4] {
+        scaling.bench_function(format!("sweep/t{threads}"), |b| {
             b.iter(|| {
-                ParallelEvidenceBuilder::new(threads)
+                SweepEvidenceBuilder::new(threads)
                     .build(&relation, &space, false)
                     .evidence_set
                     .distinct_count()

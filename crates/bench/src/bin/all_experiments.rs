@@ -1,8 +1,8 @@
 //! Run every table/figure binary in sequence (the full evaluation sweep).
 //!
 //! Equivalent to running `table4`, `fig6` … `fig14`, and `table5` one after
-//! another. Set `ADC_BENCH_ROWS` / `ADC_BENCH_DATASETS` / `ADC_BENCH_THREADS`
-//! to trade fidelity for time; see `crates/bench/README.md` for the
+//! another. Set `ADC_BENCH_ROWS` / `ADC_BENCH_DATASETS` /
+//! `ADC_BENCH_STRATEGY` / `ADC_BENCH_THREADS` to trade fidelity for time; see `crates/bench/README.md` for the
 //! experiment index.
 
 use adc_bench::{object, report_dir, write_report, Json};

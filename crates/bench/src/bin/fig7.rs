@@ -1,12 +1,12 @@
 //! Figure 7: total pipeline runtime of ADCMiner vs DCFinder vs AFASTDC
 //! (predicate space + evidence construction + enumeration), f1, ε = 0.1.
 //!
-//! ADCMiner builds its evidence with the tiled parallel builder (all cores
-//! by default), while the two baseline pipelines stay sequential — on a
-//! multi-core machine part of ADCMiner's margin is thread count, not
-//! algorithm. Set `ADC_BENCH_THREADS=1` to pin ADCMiner to the sequential
-//! cluster builder and isolate the algorithmic gap the paper's Figure 7
-//! reports.
+//! ADCMiner builds its evidence with the harness kernel — by default the
+//! sequential cluster builder, like the two baseline pipelines, so the gap
+//! is the algorithmic one the paper's Figure 7 reports. Set
+//! `ADC_BENCH_STRATEGY=sweep` to give ADCMiner the sub-quadratic,
+//! multi-threaded sweep kernel instead; part of its margin is then thread
+//! count, not algorithm.
 
 use adc_bench::{
     bench_config, bench_datasets, bench_relation, run_miner, secs, write_report, Table,

@@ -11,11 +11,12 @@
 //!
 //! * `ADC_BENCH_ROWS` — override the number of generated tuples per dataset.
 //! * `ADC_BENCH_DATASETS` — comma-separated subset of dataset names to run.
-//! * `ADC_BENCH_THREADS` — evidence-builder worker threads (default: all
-//!   available cores; `1` forces the sequential cluster builder).
-//! * `ADC_BENCH_STRATEGY` — evidence kernel: `parallel` (default; honours
-//!   `ADC_BENCH_THREADS`), `sequential` (the cluster kernel), or `sweep`
-//!   (the sub-quadratic sort/PLI kernel). An unknown name is a hard error.
+//! * `ADC_BENCH_THREADS` — sweep-kernel worker threads (default: all
+//!   available cores).
+//! * `ADC_BENCH_STRATEGY` — evidence kernel: `sequential` (default, alias
+//!   `cluster`: the library's default cluster kernel) or `sweep` (the
+//!   sub-quadratic, multi-threaded sort/PLI kernel, honouring
+//!   `ADC_BENCH_THREADS`). An unknown name is a hard error.
 //! * `ADC_BENCH_SLICE_NODES` — when set (> 0), every harness mining run
 //!   executes in **resume-in-slices** mode: node-budget slices of that size,
 //!   resumed until the run's own budget/cap/exhaustion point. By the
@@ -156,26 +157,22 @@ pub fn bench_relation(dataset: Dataset) -> Relation {
         .generate(bench_rows(dataset), 0xADC0 + dataset as u64)
 }
 
-/// Evidence-builder worker threads, honouring `ADC_BENCH_THREADS`
-/// (`0` = let the builder use all available cores, which is the default).
+/// Sweep-kernel worker threads, honouring `ADC_BENCH_THREADS` (`0` = let the
+/// builder use all available cores, which is the default).
 pub fn bench_threads() -> usize {
     parsed_env("ADC_BENCH_THREADS").unwrap_or(0)
 }
 
 /// Evidence-kernel selection of the harness (`ADC_BENCH_STRATEGY`).
 ///
-/// The default keeps the PR-6 behaviour: the tiled parallel kernel on
-/// [`bench_threads`] workers, with `ADC_BENCH_THREADS=1` degrading to the
-/// sequential cluster kernel for apples-to-apples single-threaded baselines.
+/// The default is the library's own default, the sequential cluster kernel,
+/// so harness figures measure what [`MinerConfig::new`] users get.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BenchStrategy {
-    /// Tiled multi-threaded cluster kernel (default), honouring
-    /// `ADC_BENCH_THREADS` (`1` ⇒ plain sequential cluster kernel).
-    #[default]
-    Parallel,
-    /// The sequential cluster kernel. Requesting it together with
+    /// The sequential cluster kernel (default). Requesting it together with
     /// `ADC_BENCH_THREADS ≥ 2` is a hard error (the strategy would silently
     /// ignore the thread count).
+    #[default]
     Sequential,
     /// The parallel sub-quadratic sort/PLI sweep kernel, honouring
     /// `ADC_BENCH_THREADS` (`0` = all available cores).
@@ -187,12 +184,11 @@ impl std::str::FromStr for BenchStrategy {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "parallel" => Ok(BenchStrategy::Parallel),
             "sequential" | "cluster" => Ok(BenchStrategy::Sequential),
             "sweep" => Ok(BenchStrategy::Sweep),
             other => Err(format!(
                 "unknown evidence strategy {other:?}; known strategies: \
-                 parallel, sequential (alias: cluster), sweep"
+                 sequential (alias: cluster), sweep"
             )),
         }
     }
@@ -200,31 +196,23 @@ impl std::str::FromStr for BenchStrategy {
 
 impl BenchStrategy {
     /// The [`EvidenceStrategy`] this harness selection maps to, resolving
-    /// [`bench_threads`] uniformly for every thread-capable kernel (same
-    /// `=1` ⇒ sequential rule as always for the parallel kernel).
+    /// [`bench_threads`].
     pub fn evidence_strategy(self) -> EvidenceStrategy {
         self.evidence_strategy_with_threads(bench_threads())
     }
 
-    /// [`Self::evidence_strategy`] with an explicit thread count: the
-    /// parallel and sweep kernels honour it, and combining a kernel that
-    /// *ignores* threads with an explicit multi-thread request is a hard
-    /// explanatory error instead of a silently single-threaded run.
+    /// [`Self::evidence_strategy`] with an explicit thread count: the sweep
+    /// kernel honours it, and combining the cluster kernel, which *ignores*
+    /// threads, with an explicit multi-thread request is a hard explanatory
+    /// error instead of a silently single-threaded run.
     pub fn evidence_strategy_with_threads(self, threads: usize) -> EvidenceStrategy {
         match self {
-            BenchStrategy::Parallel => match threads {
-                1 => EvidenceStrategy::Cluster,
-                t => EvidenceStrategy::Parallel {
-                    threads: t,
-                    tile_rows: 0,
-                },
-            },
             BenchStrategy::Sequential => {
                 assert!(
                     threads <= 1,
-                    "ADC_BENCH_STRATEGY=sequential ignores thread counts, but \
-                     ADC_BENCH_THREADS={threads} was requested; use the parallel \
-                     or sweep strategy for multi-threaded builds"
+                    "ADC_BENCH_STRATEGY=sequential (the default) ignores thread counts, \
+                     but ADC_BENCH_THREADS={threads} was requested; use \
+                     ADC_BENCH_STRATEGY=sweep for multi-threaded builds"
                 );
                 EvidenceStrategy::Cluster
             }
@@ -234,7 +222,7 @@ impl BenchStrategy {
 }
 
 /// The evidence kernel to use, honouring `ADC_BENCH_STRATEGY` (default:
-/// [`BenchStrategy::Parallel`]). A malformed value is a hard explanatory
+/// [`BenchStrategy::Sequential`]). A malformed value is a hard explanatory
 /// error via [`parsed_env`] — same contract as the numeric variables.
 pub fn bench_strategy() -> BenchStrategy {
     parsed_env("ADC_BENCH_STRATEGY").unwrap_or_default()
@@ -249,12 +237,9 @@ pub fn bench_slice_nodes() -> Option<u64> {
 
 /// The harness miner configuration: like [`MinerConfig::new`] but building
 /// evidence with the kernel [`bench_strategy`] selects — by default the
-/// tiled parallel builder on [`bench_threads`] workers, which is what makes
-/// paper-scale row counts tractable end-to-end. `ADC_BENCH_THREADS=1`
-/// selects the plain sequential cluster builder (no thread spawn, no
-/// tiling/merge overhead) so single-threaded baselines are a true
-/// apples-to-apples reference, and `ADC_BENCH_STRATEGY=sweep` runs the
-/// whole harness on the sub-quadratic kernel.
+/// library's sequential cluster builder, while `ADC_BENCH_STRATEGY=sweep`
+/// runs the whole harness on the sub-quadratic kernel over
+/// [`bench_threads`] workers, which is what makes large row counts fast.
 pub fn bench_config(epsilon: f64) -> MinerConfig {
     MinerConfig::new(epsilon)
         .with_evidence(bench_strategy().evidence_strategy())
@@ -282,10 +267,8 @@ pub fn bench_max_dcs() -> usize {
     parsed_env("ADC_BENCH_MAX_DCS").unwrap_or(50_000)
 }
 
-/// Build the evidence set with the harness builder ([`bench_strategy`] —
-/// by default parallel, honouring `ADC_BENCH_THREADS` with the same `=1` ⇒
-/// sequential rule as [`bench_config`]) for binaries that time enumeration
-/// in isolation.
+/// Build the evidence set with the harness builder ([`bench_strategy`], as
+/// in [`bench_config`]) for binaries that time enumeration in isolation.
 pub fn build_evidence(relation: &Relation, space: &PredicateSpace, track_vios: bool) -> Evidence {
     bench_strategy()
         .evidence_strategy()
@@ -538,16 +521,19 @@ mod tests {
     #[test]
     fn bench_config_maps_one_thread_to_sequential_builder() {
         use adc_core::EvidenceStrategy;
-        // The env var is unset in the test environment, so bench_threads()
-        // is 0 and the parallel builder is selected with all cores.
-        if std::env::var("ADC_BENCH_THREADS").is_err() {
+        // One thread or "all cores" (0) both select the cluster kernel under
+        // the default strategy; the env vars are unset in the test
+        // environment.
+        for threads in [0, 1] {
             assert_eq!(
-                bench_config(0.1).evidence,
-                EvidenceStrategy::Parallel {
-                    threads: 0,
-                    tile_rows: 0
-                }
+                BenchStrategy::default().evidence_strategy_with_threads(threads),
+                EvidenceStrategy::Cluster
             );
+        }
+        if std::env::var("ADC_BENCH_THREADS").is_err()
+            && std::env::var("ADC_BENCH_STRATEGY").is_err()
+        {
+            assert_eq!(bench_config(0.1).evidence, EvidenceStrategy::Cluster);
         }
     }
 
@@ -582,7 +568,6 @@ mod tests {
     #[test]
     fn strategy_names_parse_case_insensitively() {
         for (name, expected) in [
-            ("parallel", BenchStrategy::Parallel),
             ("Sequential", BenchStrategy::Sequential),
             ("cluster", BenchStrategy::Sequential),
             (" SWEEP ", BenchStrategy::Sweep),
@@ -595,9 +580,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_strategy_defaults_to_parallel() {
+    fn bench_strategy_defaults_to_sequential() {
         if std::env::var("ADC_BENCH_STRATEGY").is_err() {
-            assert_eq!(bench_strategy(), BenchStrategy::Parallel);
+            assert_eq!(bench_strategy(), BenchStrategy::Sequential);
         }
     }
 
@@ -615,13 +600,6 @@ mod tests {
         assert_eq!(
             BenchStrategy::Sweep.evidence_strategy_with_threads(4),
             EvidenceStrategy::Sweep { threads: 4 }
-        );
-        assert_eq!(
-            BenchStrategy::Parallel.evidence_strategy_with_threads(0),
-            EvidenceStrategy::Parallel {
-                threads: 0,
-                tile_rows: 0
-            }
         );
         if std::env::var("ADC_BENCH_THREADS").is_err() {
             assert_eq!(
@@ -643,8 +621,14 @@ mod tests {
     #[should_panic(expected = "ADC_BENCH_STRATEGY=\"swep\" is not a valid value")]
     fn malformed_strategy_value_is_a_hard_error() {
         // A typo like `ADC_BENCH_STRATEGY=swep` must abort with an
-        // explanation, not silently benchmark the default parallel kernel.
+        // explanation, not silently benchmark the default kernel.
         let _: BenchStrategy = parse_env_value("ADC_BENCH_STRATEGY", "swep");
+    }
+
+    #[test]
+    fn retired_parallel_strategy_is_an_unknown_name() {
+        let err = "parallel".parse::<BenchStrategy>().unwrap_err();
+        assert!(err.contains("known strategies: sequential"), "{err}");
     }
 
     #[test]

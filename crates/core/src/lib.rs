@@ -57,7 +57,5 @@ pub use sampling::SampleThreshold;
 
 // Re-export the pieces users need to drive the miner without importing every crate.
 pub use adc_approx::{ApproxKind, ApproximationFunction};
-pub use adc_hitting::{
-    BranchStrategy, SearchBudget, SearchOrder, SuspendedSearch, TruncationReason,
-};
+pub use adc_hitting::{BranchStrategy, SearchBudget, SearchOrder, TruncationReason};
 pub use adc_predicates::{DenialConstraint, PredicateSpace, SpaceConfig, TupleRole};

@@ -5,8 +5,7 @@ use crate::sampling;
 use adc_approx::{ApproxKind, ApproximationFunction, SampleAdjustedF1};
 use adc_data::Relation;
 use adc_evidence::{
-    ClusterEvidenceBuilder, Evidence, EvidenceBuilder, NaiveEvidenceBuilder,
-    ParallelEvidenceBuilder, SweepEvidenceBuilder,
+    ClusterEvidenceBuilder, Evidence, EvidenceBuilder, NaiveEvidenceBuilder, SweepEvidenceBuilder,
 };
 use adc_hitting::{ApproxEnumStats, BranchStrategy, SearchBudget, SearchOrder, SuspendedSearch};
 use adc_predicates::{DenialConstraint, PredicateSpace, SpaceConfig};
@@ -20,15 +19,6 @@ pub enum EvidenceStrategy {
     Cluster,
     /// The naive per-pair per-predicate builder (AFASTDC-style).
     Naive,
-    /// The tiled multi-threaded cluster builder; produces output identical
-    /// to [`EvidenceStrategy::Cluster`] (deterministic merge), only faster
-    /// on multi-core machines.
-    Parallel {
-        /// Worker threads (`0` = all available cores).
-        threads: usize,
-        /// Outer rows per tile (`0` = automatic sizing).
-        tile_rows: usize,
-    },
     /// The parallel sub-quadratic sort/PLI sweep builder: identical-row
     /// classes with closed-form pair counts, refined per left class into
     /// equal-outcome intervals via per-column sorted class codes, with
@@ -49,9 +39,6 @@ impl EvidenceStrategy {
         match *self {
             EvidenceStrategy::Cluster => Box::new(ClusterEvidenceBuilder),
             EvidenceStrategy::Naive => Box::new(NaiveEvidenceBuilder),
-            EvidenceStrategy::Parallel { threads, tile_rows } => {
-                Box::new(ParallelEvidenceBuilder { threads, tile_rows })
-            }
             EvidenceStrategy::Sweep { threads } => Box::new(SweepEvidenceBuilder::new(threads)),
         }
     }
@@ -143,17 +130,6 @@ impl MinerConfig {
     /// Select the evidence builder.
     pub fn with_evidence(mut self, evidence: EvidenceStrategy) -> Self {
         self.evidence = evidence;
-        self
-    }
-
-    /// Build the evidence set on `threads` worker threads (`0` = all
-    /// available cores) with automatic tile sizing. Shorthand for
-    /// [`EvidenceStrategy::Parallel`].
-    pub fn with_parallel_evidence(mut self, threads: usize) -> Self {
-        self.evidence = EvidenceStrategy::Parallel {
-            threads,
-            tile_rows: 0,
-        };
         self
     }
 
@@ -546,10 +522,6 @@ mod tests {
             for evidence in [
                 EvidenceStrategy::Cluster,
                 EvidenceStrategy::Naive,
-                EvidenceStrategy::Parallel {
-                    threads: 4,
-                    tile_rows: 0,
-                },
                 EvidenceStrategy::Sweep { threads: 2 },
             ] {
                 let cfg = MinerConfig::new(0.1)
@@ -701,7 +673,10 @@ mod tests {
             AdcMiner::new(MinerConfig::new(0.05).with_evidence(EvidenceStrategy::Cluster)).mine(&r);
         let b =
             AdcMiner::new(MinerConfig::new(0.05).with_evidence(EvidenceStrategy::Naive)).mine(&r);
-        let c = AdcMiner::new(MinerConfig::new(0.05).with_parallel_evidence(3)).mine(&r);
+        let c = AdcMiner::new(
+            MinerConfig::new(0.05).with_evidence(EvidenceStrategy::Sweep { threads: 3 }),
+        )
+        .mine(&r);
         let d = AdcMiner::new(MinerConfig::new(0.05).with_sweep_evidence()).mine(&r);
         let ids = |m: &MiningResult| {
             let mut v: Vec<_> = m.dcs.iter().map(|d| d.predicate_ids().to_vec()).collect();
@@ -710,11 +685,12 @@ mod tests {
         };
         assert_eq!(ids(&a), ids(&d));
         assert_eq!(ids(&a), ids(&b));
-        // The parallel builder's merge is deterministic, so its results match
-        // the sequential cluster builder's *without* sorting normalisation.
-        let ids_c: Vec<_> = c.dcs.iter().map(|d| d.predicate_ids().to_vec()).collect();
-        let ids_a_raw: Vec<_> = a.dcs.iter().map(|d| d.predicate_ids().to_vec()).collect();
-        assert_eq!(ids_a_raw, ids_c);
+        // The sweep's merge is deterministic, so its results at any thread
+        // count match each other *without* sorting normalisation.
+        let raw = |m: &MiningResult| -> Vec<_> {
+            m.dcs.iter().map(|d| d.predicate_ids().to_vec()).collect()
+        };
+        assert_eq!(raw(&c), raw(&d));
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //!   executed, and the satisfied-predicate bits are assembled with
 //!   precomputed word masks.
 //!
-//! A third, data-parallel builder lives in [`crate::parallel`]: it runs the
-//! cluster kernel defined here over row-range tiles on a scoped thread pool
-//! and merges the per-tile results deterministically.
+//! The multi-threaded, sub-quadratic builder lives in [`crate::sweep`]; it
+//! reuses `fill_pair` to assemble each block's evidence bitset.
 
 #![doc = "conformance: ordered-output"]
 
@@ -128,9 +127,9 @@ pub(crate) fn column_codes(relation: &Relation) -> Vec<ColumnCodes> {
 /// Assemble `Sat(t, t_prime)` into `buffer` (one `u64` word per 64 predicate
 /// ids, zeroed by this function) using precomputed codes and group masks.
 ///
-/// This is the shared inner kernel of [`ClusterEvidenceBuilder`] and
-/// [`crate::parallel::ParallelEvidenceBuilder`] — keeping it in one place is
-/// what guarantees the two produce bit-identical evidence.
+/// This is the shared inner kernel of [`ClusterEvidenceBuilder`], the sweep
+/// kernel and the delta builder — keeping it in one place is what
+/// guarantees they agree on every individual evidence bitset.
 pub(crate) fn fill_pair(
     codes: &[ColumnCodes],
     groups: &[GroupMasks],
@@ -289,7 +288,7 @@ pub(crate) mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The paper's Table-1-style 5-row fixture (shared with `parallel.rs`).
+    /// The paper's Table-1-style 5-row fixture (shared with `sweep.rs` and `delta.rs`).
     pub(crate) fn small_relation() -> Relation {
         let schema = Schema::of(&[
             ("Name", AttributeType::Text),
@@ -312,7 +311,7 @@ pub(crate) mod tests {
         b.build()
     }
 
-    /// A noisy 4-column relation with ~10 % nulls (shared with `parallel.rs`).
+    /// A noisy 4-column relation with ~10 % nulls (shared with `sweep.rs` and `delta.rs`).
     pub(crate) fn random_relation(rows: usize, seed: u64) -> Relation {
         let schema = Schema::of(&[
             ("A", AttributeType::Text),

@@ -131,7 +131,7 @@ impl DeltaEvidenceBuilder {
 
     /// Build the initial evidence state with an explicit batch builder —
     /// e.g. [`SweepEvidenceBuilder`](crate::SweepEvidenceBuilder) to make the
-    /// one-off seeding scan sub-quadratic, or the parallel kernel. All batch
+    /// one-off seeding scan sub-quadratic and multi-threaded. All batch
     /// builders produce canonically equal evidence, so the maintained state
     /// is the same multiset regardless of the seeding kernel (only the
     /// initial entry order can differ; see `Evidence::canonicalize`).
@@ -238,19 +238,16 @@ impl DeltaEvidenceBuilder {
         let mut pairs_scanned = 0u64;
         let words = self.num_predicates.div_ceil(64);
         let mut buffer = vec![0u64; words];
+        let mut deleted = vec![false; n_old];
+        for &d in &deletes {
+            deleted[d] = true;
+        }
 
         // Phase 1 — retract every ordered pair involving a deleted row,
         // against the *old* relation's codes (each affected pair exactly
         // once: all pairs whose first element is deleted, plus pairs whose
         // second element is deleted but first is not).
         if !deletes.is_empty() && self.num_predicates > 0 {
-            let deleted: Vec<bool> = {
-                let mut mask = vec![false; n_old];
-                for &d in &deletes {
-                    mask[d] = true;
-                }
-                mask
-            };
             let codes = column_codes(&self.relation);
             for &d in &deletes {
                 for (other, &other_deleted) in deleted.iter().enumerate() {
@@ -269,7 +266,7 @@ impl DeltaEvidenceBuilder {
 
         // Phase 2 — drop the deleted rows, renumbering survivors.
         if !deletes.is_empty() {
-            let kept: Vec<usize> = (0..n_old).filter(|r| !deletes.contains(r)).collect();
+            let kept: Vec<usize> = (0..n_old).filter(|&r| !deleted[r]).collect();
             let mut old_to_new: Vec<Option<u32>> = vec![None; n_old];
             for (new, &old) in kept.iter().enumerate() {
                 old_to_new[old] = Some(new as u32);

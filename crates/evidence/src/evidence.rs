@@ -20,7 +20,8 @@ pub struct EvidenceEntry {
 ///
 /// Equality compares entry **order** as well as contents, so asserting two
 /// evidence sets equal proves the builders that produced them interned pairs
-/// in the same traversal order (the parallel-merge determinism guarantee).
+/// in the same traversal order (the sweep's parallel-merge determinism
+/// guarantee).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvidenceSet {
     entries: Vec<EvidenceEntry>,
@@ -130,12 +131,12 @@ impl EvidenceSet {
     /// `remap[old_index] = new_index`.
     ///
     /// Builders intern entries in *first-encounter* order, which depends on
-    /// the traversal: the pairwise kernels scan pairs row-major (and the
-    /// parallel merge reproduces that order bit for bit), while the sweep
-    /// kernel interns one entry per (left class, block). Canonicalizing both
-    /// sides turns the order-sensitive `PartialEq` into the multiset equality
-    /// the kernels actually guarantee — this is the normalization behind
-    /// every cross-kernel equality test. Entry sets are unique (interning
+    /// the traversal: the pairwise kernels scan pairs row-major, while the
+    /// sweep kernel interns one entry per (left class, block), and its
+    /// parallel merge reproduces the single-threaded order bit for bit.
+    /// Canonicalizing both sides turns the order-sensitive `PartialEq` into
+    /// the multiset equality the kernels actually guarantee — this is the
+    /// normalization behind every cross-kernel equality test. Entry sets are unique (interning
     /// invariant), so the canonical order is total and needs no tie-break.
     pub fn canonicalize(&mut self) -> Vec<usize> {
         let mut indexed: Vec<(usize, EvidenceEntry)> = std::mem::take(&mut self.entries)
@@ -335,8 +336,9 @@ impl EvidenceAccumulator {
     /// callers use to re-target per-entry side indexes such as
     /// [`crate::Vios`] (via [`crate::Vios::merge_mapped`]).
     ///
-    /// Merging tile shards in ascending row order therefore reproduces *bit
-    /// for bit* the evidence set a single sequential scan would intern.
+    /// Merging the sweep's chunk shards in ascending class order therefore
+    /// reproduces *bit for bit* the evidence set a single-threaded sweep
+    /// would intern.
     pub fn merge_set(&mut self, shard: &EvidenceSet) -> Vec<usize> {
         let mut mapping = Vec::with_capacity(shard.entries.len());
         for entry in &shard.entries {

@@ -10,7 +10,7 @@
 //! number of violating pairs of `ϕ` is the total multiplicity of evidence
 //! sets missed by `Ŝ_ϕ`.
 //!
-//! Four builders are provided:
+//! Three builders are provided:
 //!
 //! * [`NaiveEvidenceBuilder`] — the reference implementation (AFASTDC-style):
 //!   evaluates every predicate on every ordered pair through the dynamic
@@ -19,24 +19,24 @@
 //!   BFASTDC / DCFinder: per-column integer codes (PLI ranks / global
 //!   dictionary codes), per-structure-group bit masks, and word-level
 //!   assembly of each pair's evidence bitset.
-//! * [`ParallelEvidenceBuilder`] — the cluster kernel run over row-range
-//!   tiles on a scoped thread pool, with a deterministic order-preserving
-//!   merge (see [`parallel`]).
-//! * [`SweepEvidenceBuilder`] — the sub-quadratic sort/PLI sweep: rows are
+//! * [`SweepEvidenceBuilder`] — the sub-quadratic, multi-threaded sort/PLI
+//!   sweep: rows are
 //!   grouped into identical-code classes and, per left class, refined into
 //!   equal-outcome blocks whose pair counts are closed-form — via
 //!   single-family interval events, a two-family wavelet rectangle path
 //!   (with band-structured text columns hosted on their numeric family),
-//!   or the multi-family rank-token fallback (see [`sweep`]).
+//!   or the multi-family rank-token fallback. Left classes are spread over
+//!   worker threads and merged deterministically (see [`sweep`]).
 //!
-//! The pairwise builders produce identical [`EvidenceSet`]s bit for bit; the
-//! sweep builder produces the same evidence *multiset* in a different entry
-//! order, normalized by [`Evidence::canonicalize`] (tested by the
-//! cross-kernel differential suite); they differ only in construction time.
+//! The two pairwise builders produce identical [`EvidenceSet`]s bit for bit;
+//! the sweep builder produces the same evidence *multiset* in a different
+//! entry order, normalized by [`Evidence::canonicalize`] (tested by the
+//! cross-kernel differential suite), and the same bits at every thread
+//! count. They differ only in construction time.
 //!
 //! ```
 //! use adc_data::{AttributeType, Relation, Schema, Value};
-//! use adc_evidence::{ClusterEvidenceBuilder, EvidenceBuilder, ParallelEvidenceBuilder};
+//! use adc_evidence::{ClusterEvidenceBuilder, EvidenceBuilder, SweepEvidenceBuilder};
 //! use adc_predicates::{PredicateSpace, SpaceConfig};
 //!
 //! let schema = Schema::of(&[("City", AttributeType::Text), ("Pop", AttributeType::Integer)]);
@@ -48,10 +48,11 @@
 //! let space = PredicateSpace::build(&relation, SpaceConfig::default());
 //!
 //! // 3 tuples → 6 ordered pairs; the two identical "Oslo" tuples collapse
-//! // into shared evidence entries, and every builder agrees bit for bit.
-//! let evidence = ClusterEvidenceBuilder.build(&relation, &space, false);
+//! // into shared evidence entries, and every builder agrees up to entry order.
+//! let evidence = ClusterEvidenceBuilder.build(&relation, &space, true);
 //! assert_eq!(evidence.evidence_set.total_pairs(), 6);
-//! assert_eq!(evidence, ParallelEvidenceBuilder::new(2).build(&relation, &space, false));
+//! let sweep = SweepEvidenceBuilder::new(2).build(&relation, &space, true);
+//! assert_eq!(evidence.canonicalized(), sweep.canonicalized());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,7 +61,6 @@
 pub mod builder;
 pub mod delta;
 pub mod evidence;
-pub mod parallel;
 pub mod sweep;
 pub mod sync;
 pub mod vios;
@@ -69,7 +69,6 @@ mod wavelet;
 pub use builder::{ClusterEvidenceBuilder, EvidenceBuilder, NaiveEvidenceBuilder};
 pub use delta::{DeltaEvidenceBuilder, EvidenceDelta};
 pub use evidence::{EvidenceEntry, EvidenceSet};
-pub use parallel::ParallelEvidenceBuilder;
 pub use sweep::{SweepEvidenceBuilder, SweepStats};
 // conformance: allow(concurrency) — re-export of the adc_sync audit seam; no primitive is used here
 pub use sync::{AtomicChunkSource, ChunkSource, Schedule, ScriptedChunkSource};

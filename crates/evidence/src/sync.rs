@@ -1,9 +1,9 @@
-//! `adc_sync` — the schedule shim behind the parallel kernels.
+//! `adc_sync` — the schedule shim behind the parallel sweep kernel.
 //!
 //! This module is the workspace's only blessed home for concurrency
-//! primitives outside the two parallel kernels themselves (the
+//! primitives outside the sweep kernel itself (the
 //! `concurrency/confinement` rule of `tools/adc-conformance` enforces
-//! that). It exists so the kernels' *work distribution* is an injectable
+//! that). It exists so the kernel's *work distribution* is an injectable
 //! seam instead of a hard-wired atomic counter:
 //!
 //! - in production, [`AtomicChunkSource`] hands out chunk indexes from a
@@ -31,7 +31,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 /// permanently retires the calling worker. Indexes at or beyond the
 /// kernel's chunk count are *skipped, not terminal* — sources are allowed
 /// to over-approximate the index range (a scripted schedule can be longer
-/// than the realised chunk count), and the kernels keep pulling.
+/// than the realised chunk count), and the kernel keeps pulling.
 pub trait ChunkSource: Sync {
     /// Next chunk index for `worker`, or `None` when this worker is done.
     fn next_chunk(&self, worker: usize) -> Option<usize>;

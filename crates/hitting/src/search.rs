@@ -1025,7 +1025,7 @@ fn expand<D: SearchDriver>(
         system,
         node.uncov(),
         &node.cand,
-        &node.can_hit,
+        Some(&node.can_hit),
         config.strategy,
         driver.unhittable_is_fatal(),
         guard,
@@ -1196,6 +1196,10 @@ struct DeadlineHit;
 ///   proves the whole branch hopeless; otherwise the scan stops at the first
 ///   subset, since nothing later can change the choice.
 ///
+/// Subsets outside `can_hit` (the ones the approximate skip branch marked
+/// unhittable) are passed over; `None` means every subset is still live,
+/// as it always is for the exact driver.
+///
 /// Returns `Ok(None)` when there is nothing to branch on: either some subset
 /// is unhittable and that is fatal, or (non-fatal mode) every uncovered
 /// subset has already been marked unhittable. Returns `Err(DeadlineHit)`
@@ -1205,7 +1209,7 @@ fn choose_branch_subset(
     system: &SetSystem,
     uncov: &[u32],
     cand: &FixedBitSet,
-    can_hit: &FixedBitSet,
+    can_hit: Option<&FixedBitSet>,
     strategy: BranchStrategy,
     unhittable_is_fatal: bool,
     guard: Option<&DeadlineGuard>,
@@ -1219,7 +1223,7 @@ fn choose_branch_subset(
                 }
             }
         }
-        if !can_hit.contains(fi as usize) {
+        if can_hit.is_some_and(|live| !live.contains(fi as usize)) {
             continue;
         }
         let inter = system.subsets()[fi as usize].intersection_count(cand);
@@ -1305,7 +1309,6 @@ where
     let mut s: Vec<usize> = Vec::new();
     let mut s_set = FixedBitSet::new(m);
     let mut cand = restrict.cloned().unwrap_or_else(|| FixedBitSet::full(m));
-    let can_hit = FixedBitSet::full(system.len());
     let uncov: Vec<u32> = (0..system.len() as u32).collect();
     let crit: Vec<Vec<u32>> = Vec::new();
     let mut ctx = InplaceCtx {
@@ -1318,9 +1321,7 @@ where
         unexplored: false,
         peak_depth: 0,
     };
-    inplace_walk(
-        &mut ctx, &mut s, &mut s_set, &mut cand, &uncov, &crit, &can_hit, 1,
-    );
+    inplace_walk(&mut ctx, &mut s, &mut s_set, &mut cand, &uncov, &crit, 1);
     SearchOutcome {
         emitted: ctx.emitted,
         nodes_expanded: ctx.nodes_expanded,
@@ -1338,7 +1339,6 @@ where
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn inplace_walk<F>(
     ctx: &mut InplaceCtx<'_, F>,
     s: &mut Vec<usize>,
@@ -1346,7 +1346,6 @@ fn inplace_walk<F>(
     cand: &mut FixedBitSet,
     uncov: &[u32],
     crit: &[Vec<u32>],
-    can_hit: &FixedBitSet,
     depth: usize,
 ) where
     F: FnMut(&FixedBitSet) -> bool,
@@ -1362,11 +1361,11 @@ fn inplace_walk<F>(
         }
         return;
     }
-    let chosen =
-        match choose_branch_subset(ctx.system, uncov, cand, can_hit, ctx.strategy, true, None) {
-            Ok(Some(fi)) => fi,
-            _ => return,
-        };
+    let chosen = match choose_branch_subset(ctx.system, uncov, cand, None, ctx.strategy, true, None)
+    {
+        Ok(Some(fi)) => fi,
+        _ => return,
+    };
     let subset = &ctx.system.subsets()[chosen as usize];
 
     let c: Vec<usize> = cand.intersection(subset).to_vec();
@@ -1403,7 +1402,7 @@ fn inplace_walk<F>(
 
         s.push(e);
         s_set.insert(e);
-        inplace_walk(ctx, s, s_set, cand, &kept, &new_crit, can_hit, depth + 1);
+        inplace_walk(ctx, s, s_set, cand, &kept, &new_crit, depth + 1);
         s.pop();
         s_set.remove(e);
         cand.insert(e);
@@ -1695,7 +1694,7 @@ mod tests {
         strategy: BranchStrategy,
         fatal: bool,
     ) -> Option<u32> {
-        choose_branch_subset(system, uncov, cand, can_hit, strategy, fatal, None)
+        choose_branch_subset(system, uncov, cand, Some(can_hit), strategy, fatal, None)
             .ok()
             .unwrap()
     }

@@ -73,13 +73,13 @@ pub mod prelude {
         enumerate_adcs, f1_score, g_recall, AdcMiner, AdcMonitor, BranchStrategy, DeltaStats,
         DenialConstraint, EnumerationOptions, EvidenceStrategy, MinerConfig, MiningResult,
         MiningResume, MonitorError, PredicateSpace, RefreshPath, SampleThreshold, SearchBudget,
-        SearchOrder, SpaceConfig, SuspendedSearch, TruncationInfo, TruncationReason, TupleRole,
+        SearchOrder, SpaceConfig, TruncationInfo, TruncationReason, TupleRole,
     };
     pub use adc_data::{AttributeType, Relation, Schema, Value};
     pub use adc_datasets::{CorrelationSpec, Dataset, DatasetGenerator, NoiseConfig};
     pub use adc_evidence::{
         ClusterEvidenceBuilder, DeltaEvidenceBuilder, EvidenceBuilder, EvidenceDelta,
-        NaiveEvidenceBuilder, ParallelEvidenceBuilder, SweepEvidenceBuilder, SweepStats,
+        NaiveEvidenceBuilder, SweepEvidenceBuilder, SweepStats,
     };
     pub use adc_predicates::{DriftFlip, SpaceDrift, SpaceDriftTracker};
 }

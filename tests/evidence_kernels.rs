@@ -1,19 +1,20 @@
 //! Cross-kernel differential acceptance suite for the evidence builders.
 //!
-//! Three production kernels construct `Evi(D)`: the sequential cluster
-//! kernel, the parallel tiled kernel, and the sub-quadratic sort/PLI sweep
-//! kernel. Their contracts differ in strength, and this suite pins both:
+//! Two production kernels construct `Evi(D)`: the sequential cluster kernel
+//! and the sub-quadratic, multi-threaded sort/PLI sweep kernel. Their
+//! contracts differ in strength, and this suite pins both:
 //!
-//! * **parallel ≡ sequential, bit for bit** — entry order, counts, and the
-//!   `vios` index are identical (the deterministic-merge guarantee);
 //! * **sweep ≡ sequential, canonically** — the same evidence multiset and
 //!   `vios` content, normalized through `Evidence::canonicalize()` because
 //!   the sweep interns entries per (left class, block) instead of per
-//!   row-major pair.
+//!   row-major pair;
+//! * **threaded sweep ≡ single-threaded sweep, bit for bit** — entry order,
+//!   counts, and the `vios` index are identical for every
+//!   `{threads, chunk_classes}` shape (the deterministic-merge guarantee).
 //!
 //! Fixtures cover the paper's running example, noisy synthetic data, and
 //! all eight evaluation datasets; the property suite generalises over
-//! random schema shapes, values, null placement, kernel shapes, and
+//! random schema shapes, values, null placement, sweep shapes, and
 //! `track_vios`. Case count scales with `PROPTEST_CASES` (default 256;
 //! raised in the CI `kernels` job).
 
@@ -21,20 +22,13 @@ use adc::prelude::*;
 use adc_datasets::{spread_noise, NoiseConfig};
 use adc_evidence::Evidence;
 
-/// Build with the sequential reference and every other kernel, requiring
-/// bit-for-bit equality from the parallel kernel, canonical equality from
-/// the sweep kernel, and bit-for-bit equality between the single-threaded
-/// sweep and a parallel sweep shape derived from the parallel builder's
-/// thread/tile axis (the sweep's deterministic chunk-merge guarantee).
-fn assert_kernels_agree(relation: &Relation, parallel: ParallelEvidenceBuilder, track_vios: bool) {
+/// Build with the sequential reference, the single-threaded sweep and the
+/// given threaded sweep shape, requiring canonical equality between the
+/// sweep and the sequential kernel, and bit-for-bit equality between the
+/// two sweeps (the sweep's deterministic chunk-merge guarantee).
+fn assert_kernels_agree(relation: &Relation, shape: SweepEvidenceBuilder, track_vios: bool) {
     let space = PredicateSpace::build(relation, SpaceConfig::default());
     let sequential: Evidence = ClusterEvidenceBuilder.build(relation, &space, track_vios);
-
-    let parallel_ev: Evidence = parallel.build(relation, &space, track_vios);
-    assert_eq!(
-        parallel_ev, sequential,
-        "parallel evidence diverged from sequential with {parallel:?}"
-    );
 
     let sweep: Evidence = SweepEvidenceBuilder::new(1).build(relation, &space, track_vios);
     assert_eq!(
@@ -43,31 +37,29 @@ fn assert_kernels_agree(relation: &Relation, parallel: ParallelEvidenceBuilder, 
         "sweep evidence diverged canonically from sequential (track_vios={track_vios})"
     );
 
-    // Parallel sweep: reuse the parallel builder's shape as the
-    // {threads, chunk} axis; output must be bit-for-bit identical to the
-    // single-threaded sweep for *any* shape.
-    let sweep_shape =
-        SweepEvidenceBuilder::new(parallel.threads.max(2)).with_chunk_classes(parallel.tile_rows);
-    let sweep_par: Evidence = sweep_shape.build(relation, &space, track_vios);
+    let sweep_par: Evidence = shape.build(relation, &space, track_vios);
     assert_eq!(
         sweep_par, sweep,
-        "parallel sweep diverged from sequential sweep with {sweep_shape:?}"
+        "threaded sweep diverged from sequential sweep with {shape:?} (track_vios={track_vios})"
     );
 }
 
 #[test]
 fn identical_on_the_running_example() {
     let relation = adc::datasets::running_example();
-    for threads in [2, 4, 7] {
-        assert_kernels_agree(&relation, ParallelEvidenceBuilder::new(threads), true);
-    }
-    // Tile shapes that don't divide the row count evenly, and degenerate ones.
-    for tile_rows in [1, 4, 13, 100] {
-        assert_kernels_agree(
-            &relation,
-            ParallelEvidenceBuilder::new(4).with_tile_rows(tile_rows),
-            true,
-        );
+    for track_vios in [false, true] {
+        for threads in [2, 4, 7] {
+            assert_kernels_agree(&relation, SweepEvidenceBuilder::new(threads), track_vios);
+        }
+        // Chunk shapes that don't divide the class count evenly, and
+        // degenerate ones.
+        for chunk_classes in [1, 4, 13, 100] {
+            assert_kernels_agree(
+                &relation,
+                SweepEvidenceBuilder::new(4).with_chunk_classes(chunk_classes),
+                track_vios,
+            );
+        }
     }
 }
 
@@ -76,7 +68,9 @@ fn identical_on_noisy_stock() {
     let clean = Dataset::Stock.generator().generate(80, 21);
     let (dirty, changed) = spread_noise(&clean, &NoiseConfig::with_rate(0.01), 22);
     assert!(!changed.is_empty(), "noise injector changed nothing");
-    assert_kernels_agree(&dirty, ParallelEvidenceBuilder::new(4), true);
+    for track_vios in [false, true] {
+        assert_kernels_agree(&dirty, SweepEvidenceBuilder::new(4), track_vios);
+    }
 }
 
 #[test]
@@ -84,11 +78,13 @@ fn identical_on_noisy_tax() {
     let clean = Dataset::Tax.generator().generate(70, 33);
     let (dirty, changed) = spread_noise(&clean, &NoiseConfig::with_rate(0.02), 34);
     assert!(!changed.is_empty(), "noise injector changed nothing");
-    assert_kernels_agree(
-        &dirty,
-        ParallelEvidenceBuilder::new(3).with_tile_rows(9),
-        true,
-    );
+    for track_vios in [false, true] {
+        assert_kernels_agree(
+            &dirty,
+            SweepEvidenceBuilder::new(3).with_chunk_classes(9),
+            track_vios,
+        );
+    }
 }
 
 #[test]
@@ -98,7 +94,7 @@ fn kernels_agree_on_all_eight_datasets() {
     for (i, dataset) in Dataset::ALL.iter().enumerate() {
         let relation = dataset.generator().generate(60, 0xADC0 + i as u64);
         for track_vios in [false, true] {
-            assert_kernels_agree(&relation, ParallelEvidenceBuilder::new(4), track_vios);
+            assert_kernels_agree(&relation, SweepEvidenceBuilder::new(4), track_vios);
         }
     }
 }
@@ -124,8 +120,8 @@ fn canonicalize_is_idempotent_and_order_independent() {
 mod properties {
     //! Property-based generalisation of the fixture tests above: on *random*
     //! relations (random schema shapes, values, and null placement) and
-    //! random kernel shapes, the parallel kernel must match the sequential
-    //! kernel bit for bit and the sweep kernel canonically.
+    //! random sweep shapes, the sweep must match the sequential kernel
+    //! canonically and the single-threaded sweep bit for bit.
 
     use super::*;
     use adc::data::{AttributeType, Schema, Value};
@@ -175,20 +171,12 @@ mod properties {
             arity_seed in 0usize..1_000,
             cells in vec(vec(0u8..255, 1..6), 2..40),
             threads in 1usize..8,
-            tile_rows in 0usize..40,
+            chunk_classes in 0usize..40,
             track_vios in any::<bool>(),
         ) {
             let relation = random_relation(arity_seed, &cells);
             let space = PredicateSpace::build(&relation, SpaceConfig::default());
             let sequential: Evidence = ClusterEvidenceBuilder.build(&relation, &space, track_vios);
-
-            let builder = ParallelEvidenceBuilder::new(threads).with_tile_rows(tile_rows);
-            let parallel: Evidence = builder.build(&relation, &space, track_vios);
-            prop_assert_eq!(
-                &parallel, &sequential,
-                "parallel diverged on {} rows × {} cols, {} threads, {} tile rows",
-                relation.len(), relation.arity(), threads, tile_rows
-            );
 
             let sweep: Evidence = SweepEvidenceBuilder::new(1).build(&relation, &space, track_vios);
             prop_assert_eq!(
@@ -198,15 +186,15 @@ mod properties {
                 relation.len(), relation.arity(), track_vios
             );
 
-            // The parallel sweep must match the sequential sweep bit for bit
-            // across the same thread/chunk grid.
+            // The threaded sweep must match the sequential sweep bit for bit
+            // across the thread/chunk grid.
             let sweep_par: Evidence = SweepEvidenceBuilder::new(threads)
-                .with_chunk_classes(tile_rows)
+                .with_chunk_classes(chunk_classes)
                 .build(&relation, &space, track_vios);
             prop_assert_eq!(
                 &sweep_par, &sweep,
-                "parallel sweep diverged on {} rows × {} cols, {} threads, {} chunk classes",
-                relation.len(), relation.arity(), threads, tile_rows
+                "threaded sweep diverged on {} rows × {} cols, {} threads, {} chunk classes",
+                relation.len(), relation.arity(), threads, chunk_classes
             );
         }
 
@@ -217,7 +205,7 @@ mod properties {
             seed in any::<u64>(),
             noise_mil in 0usize..40,
             threads in 1usize..8,
-            tile_rows in 0usize..30,
+            chunk_classes in 0usize..30,
             track_vios in any::<bool>(),
         ) {
             let dataset = Dataset::ALL[dataset_idx];
@@ -226,7 +214,7 @@ mod properties {
                 spread_noise(&clean, &NoiseConfig::with_rate(noise_mil as f64 / 1_000.0), seed ^ 1);
             assert_kernels_agree(
                 &dirty,
-                ParallelEvidenceBuilder::new(threads).with_tile_rows(tile_rows),
+                SweepEvidenceBuilder::new(threads).with_chunk_classes(chunk_classes),
                 track_vios,
             );
         }
@@ -338,11 +326,14 @@ fn all_distinct_columns_refine_sub_quadratically() {
 #[test]
 fn miner_results_identical_under_every_kernel() {
     // End-to-end: the full pipeline must emit the same DCs whichever kernel
-    // constructed the evidence (same order for the pairwise kernels, which
-    // are bit-for-bit identical; same set for the sweep kernel).
+    // constructed the evidence (same set for the sweep kernel, and the same
+    // order at every sweep thread count, whose evidence is bit-for-bit
+    // identical).
     let relation = adc::datasets::running_example();
     let sequential = AdcMiner::new(MinerConfig::new(0.05)).mine(&relation);
-    let parallel = AdcMiner::new(MinerConfig::new(0.05).with_parallel_evidence(4)).mine(&relation);
+    let sweep4 =
+        AdcMiner::new(MinerConfig::new(0.05).with_evidence(EvidenceStrategy::Sweep { threads: 4 }))
+            .mine(&relation);
     let sweep = AdcMiner::new(MinerConfig::new(0.05).with_sweep_evidence()).mine(&relation);
     let ids = |r: &MiningResult| -> Vec<Vec<usize>> {
         r.dcs.iter().map(|d| d.predicate_ids().to_vec()).collect()
@@ -352,9 +343,11 @@ fn miner_results_identical_under_every_kernel() {
         v.sort();
         v
     };
-    assert_eq!(ids(&sequential), ids(&parallel));
+    assert_eq!(sorted_ids(&sequential), sorted_ids(&sweep4));
     assert_eq!(sorted_ids(&sequential), sorted_ids(&sweep));
-    assert_eq!(sequential.distinct_evidence, parallel.distinct_evidence);
+    assert_eq!(ids(&sweep4), ids(&sweep));
+    assert_eq!(sequential.distinct_evidence, sweep4.distinct_evidence);
     assert_eq!(sequential.distinct_evidence, sweep.distinct_evidence);
+    assert_eq!(sequential.total_pairs, sweep4.total_pairs);
     assert_eq!(sequential.total_pairs, sweep.total_pairs);
 }

@@ -11,7 +11,7 @@
 //!   into the outputs of modules tagged
 //!   `#![doc = "conformance: ordered-output"]`;
 //! - **concurrency confinement** — threads, atomics, and locks live only in
-//!   the two blessed parallel kernels and the `adc_sync` schedule shim;
+//!   the blessed parallel sweep kernel and the `adc_sync` schedule shim;
 //! - **panic surface** — no `unwrap`/`expect`/`panic!` in library paths
 //!   without a reasoned `// conformance: allow(panic) — <why>` annotation;
 //! - **env hygiene** — all environment reads go through

@@ -117,7 +117,7 @@ fn check(args: &[String]) -> ExitCode {
 fn rule_table() -> String {
     "\
 determinism/unordered-iter  hash-order iteration in `#![doc = \"conformance: ordered-output\"]` modules; allow(unordered)
-concurrency/confinement     threads/atomics/locks outside crates/evidence/src/{parallel,sweep,sync}.rs; allow(concurrency)
+concurrency/confinement     threads/atomics/locks outside crates/evidence/src/{sweep,sync}.rs; allow(concurrency)
 panic/forbidden             unwrap/expect/panic!-family in library paths; allow(panic)
 env/parsed-env              raw env::var outside adc_bench::parsed_env/raw_env; allow(env)
 unsafe/forbid-missing       crate root without #![forbid(unsafe_code)]; no allow

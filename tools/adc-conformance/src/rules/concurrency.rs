@@ -1,9 +1,9 @@
 //! `concurrency/confinement` — concurrency primitives stay in the blessed
 //! modules.
 //!
-//! The determinism contract rests on exactly two parallel kernels
-//! (`crates/evidence/src/{parallel,sweep}.rs`) plus the `adc_sync` schedule
-//! shim (`crates/evidence/src/sync.rs`) that audits them. Ad-hoc
+//! The determinism contract rests on exactly one parallel kernel
+//! (`crates/evidence/src/sweep.rs`) plus the `adc_sync` schedule shim
+//! (`crates/evidence/src/sync.rs`) that audits it. Ad-hoc
 //! `std::thread`, `Atomic*`, `Mutex`, or channel use anywhere else would
 //! create a scheduling side channel the differential tests do not cover, so
 //! it is denied outright. Test-gated code is exempt (tests may drive
@@ -47,7 +47,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Finding>) {
                 RULE,
                 format!(
                     "concurrency primitive `{}` outside the blessed modules \
-                     ({}); route parallelism through the evidence kernels or \
+                     ({}); route parallelism through the sweep kernel or \
                      extend the adc_sync allowlist deliberately",
                     tok.text,
                     CONCURRENCY_ALLOWLIST.join(", ")
@@ -81,7 +81,7 @@ mod tests {
     #[test]
     fn allowlisted_files_are_clean() {
         let out = findings(
-            "crates/evidence/src/parallel.rs",
+            "crates/evidence/src/sweep.rs",
             "use std::sync::atomic::AtomicUsize;\nuse std::thread;\n",
         );
         assert!(out.is_empty());

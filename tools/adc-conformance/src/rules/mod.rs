@@ -7,7 +7,7 @@
 //! | id                        | allow name    | protects                          |
 //! |---------------------------|---------------|-----------------------------------|
 //! | `determinism/unordered-iter` | `unordered` | ordered-output modules            |
-//! | `concurrency/confinement` | `concurrency` | the blessed parallel kernels      |
+//! | `concurrency/confinement` | `concurrency` | the blessed parallel kernel       |
 //! | `panic/forbidden`         | `panic`       | the library panic surface         |
 //! | `env/parsed-env`          | `env`         | the `parsed_env` hard-error gate  |
 //! | `unsafe/forbid-missing`   | *(none)*      | `#![forbid(unsafe_code)]` roots   |
@@ -24,10 +24,9 @@ use crate::source::SourceFile;
 use crate::Finding;
 
 /// Paths (workspace-relative, `/`-separated) allowed to use concurrency
-/// primitives: the two parallel kernels plus the `adc_sync` schedule shim
-/// that the schedule auditor drives them through.
+/// primitives: the parallel sweep kernel plus the `adc_sync` schedule shim
+/// that the schedule auditor drives it through.
 pub const CONCURRENCY_ALLOWLIST: &[&str] = &[
-    "crates/evidence/src/parallel.rs",
     "crates/evidence/src/sweep.rs",
     "crates/evidence/src/sync.rs",
 ];

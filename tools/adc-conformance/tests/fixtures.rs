@@ -49,7 +49,7 @@ fn concurrency_is_allowed_in_the_blessed_kernels() {
     // The same violating source is clean when it lives in an allowlisted
     // kernel file: confinement is a property of the path.
     let out = lint_source(
-        "crates/evidence/src/parallel.rs",
+        "crates/evidence/src/sweep.rs",
         &fixture("concurrency/violation.rs"),
     );
     assert!(out.is_empty(), "{out:#?}");
