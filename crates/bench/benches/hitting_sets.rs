@@ -52,20 +52,24 @@ fn bench(c: &mut Criterion) {
 
     // Unbudgeted DFS takes the in-place undo walk (the recursive kernel's
     // cost profile); forcing any budget falls back to the explicit snapshot
-    // frontier, so the pair measures exactly what the undo hybrid reclaims.
+    // frontier, so each `_engine` row measures exactly what the walk
+    // reclaims on the same tree.
+    let forced = SearchBudget::unlimited().with_max_nodes(u64::MAX);
     let exact = Search::exact().with_strategy(BranchStrategy::MinIntersection);
     group.bench_function("mmcs_exact", |b| {
         b.iter(|| count(exact.clone(), &system, SearchBudget::unlimited()))
     });
     group.bench_function("mmcs_exact_engine", |b| {
-        let forced = SearchBudget::unlimited().with_max_nodes(u64::MAX);
         b.iter(|| count(exact.clone(), &system, forced))
     });
+    let score = coverage_score(&system);
     for epsilon in [0.0, 0.05, 0.15] {
+        let search = Search::approx(&score, ApproxEnumConfig::new(epsilon));
         group.bench_function(format!("approx_eps_{epsilon}"), |b| {
-            let score = coverage_score(&system);
-            let search = Search::approx(&score, ApproxEnumConfig::new(epsilon));
             b.iter(|| count(search.clone(), &system, SearchBudget::unlimited()))
+        });
+        group.bench_function(format!("approx_eps_{epsilon}_engine"), |b| {
+            b.iter(|| count(search.clone(), &system, forced))
         });
     }
     group.finish();

@@ -288,8 +288,8 @@ impl DeltaEvidenceBuilder {
             let codes = column_codes(&self.relation);
             for i in n_mid..n_new {
                 for j in 0..i {
-                    self.record_one(&codes, i, j, &mut buffer, &mut net_change, entries_before);
-                    self.record_one(&codes, j, i, &mut buffer, &mut net_change, entries_before);
+                    self.record_one(&codes, i, j, &mut buffer, &mut net_change);
+                    self.record_one(&codes, j, i, &mut buffer, &mut net_change);
                     pairs_scanned += 2;
                 }
             }
@@ -364,7 +364,6 @@ impl DeltaEvidenceBuilder {
         t_prime: usize,
         buffer: &mut [u64],
         net_change: &mut FxHashMap<usize, i64>,
-        entries_before: usize,
     ) {
         fill_pair(codes, &self.groups, t, t_prime, buffer);
         let entry = self
@@ -373,7 +372,6 @@ impl DeltaEvidenceBuilder {
         *net_change.entry(entry).or_insert(0) += 1;
         if let Some(v) = self.vios.as_mut() {
             // A brand-new entry index may be past what the index has seen.
-            let _ = entries_before;
             v.ensure_entries(entry + 1);
             v.record_pair(entry, t as u32, t_prime as u32);
         }

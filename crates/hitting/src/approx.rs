@@ -23,13 +23,14 @@
 //! the driver behind [`Search::approx`](crate::Search::approx): this module
 //! holds no tree walk of its own, so the approximate enumerator inherits the
 //! engine's frontier orders (shortest-first emits in nondecreasing size),
-//! anytime budgets, and resume tokens unchanged.
+//! anytime budgets, resume tokens, and the in-place walk of fresh
+//! unbudgeted depth-first runs unchanged.
 //!
 //! The scoring function is supplied by the caller and must satisfy the
 //! monotonicity and indifference-to-redundancy axioms for the enumeration to
 //! be complete (see `adc-approx`).
 
-use crate::search::{NodeDisposition, SearchDriver, SearchNode, SearchOutcome};
+use crate::search::{NodeDisposition, NodeView, SearchDriver, SearchOutcome};
 use crate::SetSystem;
 use adc_data::FixedBitSet;
 
@@ -84,7 +85,9 @@ pub struct ApproxEnumStats {
     /// Number of emitted minimal approximate hitting sets.
     pub emitted: u64,
     /// High-water mark of simultaneously held frontier nodes — the memory
-    /// footprint the `max_frontier_nodes` budget bounds.
+    /// footprint the `max_frontier_nodes` budget bounds — or, for a run that
+    /// took the in-place walk, its maximum depth (see
+    /// [`SearchOutcome::peak_frontier`]).
     pub peak_frontier: u64,
     /// Memory-bound frontier contractions performed (non-zero only when
     /// [`SearchBudget::max_frontier_nodes`](crate::SearchBudget::max_frontier_nodes)
@@ -106,13 +109,20 @@ impl From<SearchOutcome> for ApproxEnumStats {
 
 /// The `ADCEnum` configuration of the search engine: ε-acceptance base case
 /// with the explicit `IsMinimal` check, the non-hitting branch guarded by
-/// `WillCover`, and redundant-group suppression.
+/// `WillCover`, and redundant-group suppression. Both walks call it, and
+/// none of its checks allocates.
 pub(crate) struct ApproxDriver<'a> {
     score: &'a dyn Fn(&FixedBitSet) -> f64,
     epsilon: f64,
-    element_groups: Option<&'a [usize]>,
     will_cover_pruning: bool,
     score_evaluations: u64,
+    /// The elements sorted by structure group (ascending within a group);
+    /// empty without groups.
+    group_members: Vec<usize>,
+    /// Per element, the `group_members` range of its group.
+    group_span: Vec<(u32, u32)>,
+    /// `S ∪ cand` for the `WillCover` probe.
+    will_cover_set: FixedBitSet,
 }
 
 impl<'a> ApproxDriver<'a> {
@@ -125,19 +135,34 @@ impl<'a> ApproxDriver<'a> {
         system: &SetSystem,
     ) -> Self {
         assert!(config.epsilon >= 0.0, "epsilon must be non-negative");
+        let mut group_members = Vec::new();
+        let mut group_span = Vec::new();
         if let Some(groups) = config.element_groups {
             assert_eq!(
                 groups.len(),
                 system.num_elements(),
                 "element_groups length must equal the number of elements"
             );
+            group_members = (0..groups.len()).collect();
+            group_members.sort_by_key(|&e| groups[e]);
+            group_span = vec![(0, 0); groups.len()];
+            let mut start = 0;
+            for members in group_members.chunk_by(|&a, &b| groups[a] == groups[b]) {
+                let end = start + members.len();
+                for &e in members {
+                    group_span[e] = (start as u32, end as u32);
+                }
+                start = end;
+            }
         }
         ApproxDriver {
             score,
             epsilon: config.epsilon,
-            element_groups: config.element_groups,
             will_cover_pruning: config.will_cover_pruning,
             score_evaluations: 0,
+            group_members,
+            group_span,
+            will_cover_set: FixedBitSet::new(system.num_elements()),
         }
     }
 
@@ -158,17 +183,20 @@ impl<'a> ApproxDriver<'a> {
 // generic over the score type.
 impl SearchDriver for ApproxDriver<'_> {
     #[inline]
-    fn classify(&mut self, _system: &SetSystem, node: &SearchNode) -> NodeDisposition {
+    fn classify(&mut self, _system: &SetSystem, node: NodeView<'_>) -> NodeDisposition {
         // Base case: once the threshold is met, no strict superset can be
         // minimal (monotonicity), so the node is terminal either way.
-        if !self.meets_threshold(node.solution()) {
+        if !self.meets_threshold(node.solution) {
             return NodeDisposition::Expand;
         }
         // `IsMinimal` of Figure 5: no single-element removal stays within ε.
-        for &e in node.elements() {
-            let mut smaller = node.solution().clone();
-            smaller.remove(e);
-            if self.meets_threshold(&smaller) {
+        // Each probe takes the element out of the node's own solution and
+        // puts it back.
+        for &e in node.elements {
+            node.solution.remove(e);
+            let still_within = self.meets_threshold(node.solution);
+            node.solution.insert(e);
+            if still_within {
                 return NodeDisposition::Discard;
             }
         }
@@ -189,12 +217,22 @@ impl SearchDriver for ApproxDriver<'_> {
     ) -> bool {
         // `WillCover` of Figure 5: could adding every remaining candidate
         // reach ε? (Skippable only for ablation studies.)
-        !self.will_cover_pruning || self.meets_threshold(&solution.union(cand))
+        if !self.will_cover_pruning {
+            return true;
+        }
+        self.will_cover_set.clear();
+        self.will_cover_set.union_with(solution);
+        self.will_cover_set.union_with(cand);
+        self.score_evaluations += 1;
+        1.0 - (self.score)(&self.will_cover_set) <= self.epsilon
     }
 
     #[inline]
-    fn group_of(&self, element: usize) -> Option<usize> {
-        self.element_groups.map(|groups| groups[element])
+    fn group_mates(&self, element: usize) -> &[usize] {
+        match self.group_span.get(element) {
+            Some(&(start, end)) => &self.group_members[start as usize..end as usize],
+            None => &[],
+        }
     }
 
     #[inline]

@@ -22,15 +22,17 @@
 //! per-child node snapshots entirely — the classic recursive MMCS cost
 //! profile.
 
-use crate::search::{greedy_disjoint_lower_bound, NodeDisposition, SearchDriver, SearchNode};
+use crate::search::{
+    greedy_disjoint_lower_bound, NodeDisposition, NodeView, SearchDriver, SearchNode,
+};
 use crate::SetSystem;
 
 /// The exact MMCS configuration of the search engine.
 pub(crate) struct ExactDriver;
 
 impl SearchDriver for ExactDriver {
-    fn classify(&mut self, _system: &SetSystem, node: &SearchNode) -> NodeDisposition {
-        if node.uncov().is_empty() {
+    fn classify(&mut self, _system: &SetSystem, node: NodeView<'_>) -> NodeDisposition {
+        if node.uncov.is_empty() {
             // Criticality is maintained along every path, so a full cover is
             // automatically minimal.
             NodeDisposition::Emit

@@ -37,12 +37,13 @@
 //!   guarantee degrades gracefully (the [`Truncation::complete_below`] bound
 //!   stays honest throughout).
 //!
-//! One escape hatch remains from the recursion era: an **in-place undo walk**
-//! used for fresh, unbudgeted depth-first exact enumeration, where per-child
-//! node snapshots would only cost — it visits the identical tree in the
-//! identical order while mutating a single node's state with O(1) undo
-//! instead of cloning it per child. [`Search::run`] is the one place that
-//! picks it.
+//! A run that needs none of these — fresh, unbudgeted, depth-first, which is
+//! every default mine — takes the **in-place undo walk** instead, for either
+//! driver: it visits the identical tree in the identical order, with the same
+//! driver calls, while mutating one node's state (the `uncov`/`crit` lists in
+//! a `u32` arena, undo stacks for `cand`, `can_hit` and group-suppressed
+//! elements) instead of snapshotting a node per child, so no node allocates.
+//! [`Search::run`] is the one place that picks it.
 
 #![doc = "conformance: ordered-output"]
 
@@ -181,9 +182,9 @@ pub struct SearchOutcome {
     /// `Some` when a budget or the callback cut the run short.
     pub truncation: Option<Truncation>,
     /// High-water mark of simultaneously held frontier nodes (heap + spill
-    /// lane + any in-flight node). Under the in-place undo walk, where
-    /// pending siblings are implicit, this reports the maximum walk depth
-    /// instead.
+    /// lane + any in-flight node). Under the in-place undo walk (a fresh,
+    /// unbudgeted depth-first run of either driver), where pending siblings
+    /// are implicit, this reports the maximum walk depth instead.
     pub peak_frontier: usize,
     /// Number of memory-bound frontier contractions performed by this run
     /// (always 0 unless [`SearchBudget::max_frontier_nodes`] is set). Any
@@ -270,16 +271,6 @@ impl SearchNode {
         }
     }
 
-    /// The partial solution as a bitset.
-    pub fn solution(&self) -> &FixedBitSet {
-        &self.s_set
-    }
-
-    /// The partial solution's elements in insertion order.
-    pub fn elements(&self) -> &[usize] {
-        &self.s
-    }
-
     /// Candidate elements still allowed into the solution.
     pub fn cand(&self) -> &FixedBitSet {
         &self.cand
@@ -295,6 +286,30 @@ impl SearchNode {
     fn crit(&self, i: usize) -> &[u32] {
         self.lists.region(i + 1)
     }
+
+    /// The borrowed view a driver classifies.
+    fn view(&mut self) -> NodeView<'_> {
+        NodeView {
+            elements: &self.s,
+            solution: &mut self.s_set,
+            uncov: self.lists.region(0),
+        }
+    }
+}
+
+/// The part of a search node a driver's classification reads, borrowed from
+/// whichever walk holds the node: a popped [`SearchNode`] of the explicit
+/// engine, or the live state of the in-place walk. `solution` is mutable so
+/// that a probe can remove an element, score, and re-insert it instead of
+/// cloning the set; a driver must hand it back unchanged.
+pub(crate) struct NodeView<'n> {
+    /// Elements of the partial solution, in insertion order.
+    pub(crate) elements: &'n [usize],
+    /// The partial solution as a bitset.
+    pub(crate) solution: &'n mut FixedBitSet,
+    /// Subsets not yet hit by the partial solution, in stable ascending
+    /// order.
+    pub(crate) uncov: &'n [u32],
 }
 
 /// What the engine should do with a freshly popped node.
@@ -315,8 +330,8 @@ pub(crate) enum NodeDisposition {
 /// the driver decides when a node is terminal and which optional rules —
 /// non-hitting branch, redundant-group suppression, lower bounds — apply.
 pub(crate) trait SearchDriver {
-    /// Classify a popped node: emit, discard, or expand.
-    fn classify(&mut self, system: &SetSystem, node: &SearchNode) -> NodeDisposition;
+    /// Classify a node: emit, discard, or expand.
+    fn classify(&mut self, system: &SetSystem, node: NodeView<'_>) -> NodeDisposition;
 
     /// Whether expansion also produces the branch that does *not* hit the
     /// chosen subset (`ADCEnum`'s second branch). Defaults to `false` (exact
@@ -337,11 +352,12 @@ pub(crate) trait SearchDriver {
         true
     }
 
-    /// Structure group of an element, if redundant-group suppression applies:
-    /// when an element enters the solution, the rest of its group leaves the
-    /// candidate list for that branch.
-    fn group_of(&self, _element: usize) -> Option<usize> {
-        None
+    /// The members of an element's structure group (the element included),
+    /// if redundant-group suppression applies: when an element enters the
+    /// solution, the rest of its group leaves the candidate list for that
+    /// branch. Defaults to no group.
+    fn group_mates(&self, _element: usize) -> &[usize] {
+        &[]
     }
 
     /// Admissible lower bound on how many more elements any solution emitted
@@ -729,9 +745,10 @@ impl<'a> Search<'a> {
     /// Returns the run's [`SearchOutcome`] and, when a budget or the
     /// callback cut it short, the [`SuspendedSearch`] token to resume from.
     /// The token is `Some` exactly when [`SearchOutcome::truncation`] is
-    /// `Some`, with one exception: a fresh, unbudgeted depth-first exact run
-    /// takes the in-place undo walk, which materialises no frontier, so a
-    /// callback stop there yields no token.
+    /// `Some`, with one exception: a fresh, unbudgeted depth-first run (exact
+    /// or approximate) takes the in-place undo walk, which materialises no
+    /// frontier, so a callback stop there yields no token. Its emissions,
+    /// counters and truncation report are those of the explicit engine.
     ///
     /// # Panics
     /// Panics when the token or the root restriction is not over `system`'s
@@ -786,20 +803,14 @@ impl<'a> Search<'a> {
             },
         };
         match driver {
-            Driver::Exact => {
-                if resume.is_none() && config.order == SearchOrder::Dfs && budget.is_unlimited() {
-                    let outcome = run_dfs_inplace(system, config.strategy, within, &mut callback);
-                    return (outcome, None);
-                }
-                drive(
-                    system,
-                    &mut ExactDriver,
-                    &config,
-                    resume,
-                    within,
-                    &mut callback,
-                )
-            }
+            Driver::Exact => run_driver(
+                system,
+                &mut ExactDriver,
+                &config,
+                resume,
+                within,
+                &mut callback,
+            ),
             Driver::Approx {
                 score,
                 config: approx,
@@ -810,12 +821,34 @@ impl<'a> Search<'a> {
                 );
                 let mut driver = ApproxDriver::new(score, &approx, system);
                 let (mut outcome, next) =
-                    drive(system, &mut driver, &config, resume, within, &mut callback);
+                    run_driver(system, &mut driver, &config, resume, within, &mut callback);
                 outcome.score_evaluations = driver.score_evaluations();
                 (outcome, next)
             }
         }
     }
+}
+
+/// Pick the walk for one run: a fresh, unbudgeted depth-first run needs no
+/// frontier and takes the in-place walk; every other run (resumed, budgeted,
+/// or shortest-first) takes the explicit-frontier engine.
+fn run_driver<D, F>(
+    system: &SetSystem,
+    driver: &mut D,
+    config: &SearchConfig,
+    resume: Option<SuspendedSearch>,
+    restrict: Option<&FixedBitSet>,
+    callback: &mut F,
+) -> (SearchOutcome, Option<SuspendedSearch>)
+where
+    D: SearchDriver,
+    F: FnMut(&FixedBitSet) -> bool,
+{
+    if resume.is_none() && config.order == SearchOrder::Dfs && config.budget.is_unlimited() {
+        let outcome = walk_in_place(system, driver, config.strategy, restrict, callback);
+        return (outcome, None);
+    }
+    drive(system, driver, config, resume, restrict, callback)
 }
 
 /// The explicit-frontier engine shared by fresh and resumed runs.
@@ -905,11 +938,11 @@ where
                 break;
             }
         }
-        let Some((node, priority, lane)) = pending.take().or_else(|| frontier.pop()) else {
+        let Some((mut node, priority, lane)) = pending.take().or_else(|| frontier.pop()) else {
             break;
         };
         nodes_expanded += 1;
-        match driver.classify(system, &node) {
+        match driver.classify(system, node.view()) {
             NodeDisposition::Emit => {
                 emitted += 1;
                 if !callback(&node.s_set) {
@@ -1138,13 +1171,11 @@ fn expand<D: SearchDriver>(
         });
 
         let mut cand = base_cand.clone();
-        if let Some(group) = driver.group_of(e) {
-            // RemoveRedundantPreds: same-group elements leave the candidate
-            // list for this branch only.
-            for other in 0..system.num_elements() {
-                if other != e && driver.group_of(other) == Some(group) && cand.contains(other) {
-                    cand.remove(other);
-                }
+        // RemoveRedundantPreds: same-group elements leave the candidate list
+        // for this branch only.
+        for &other in driver.group_mates(e) {
+            if other != e {
+                cand.remove(other);
             }
         }
         let mut s = node.s.clone();
@@ -1271,167 +1302,295 @@ pub(crate) fn greedy_disjoint_lower_bound(
 }
 
 // ---------------------------------------------------------------------------
-// In-place undo walk (unbudgeted exact DFS)
+// In-place undo walk (fresh, unbudgeted DFS)
 // ---------------------------------------------------------------------------
 
-/// Shared mutable state of the in-place walk.
-struct InplaceCtx<'a, F> {
+/// The state of the in-place walk: one node's bookkeeping, mutated on the
+/// way down and restored on the way back up, plus the run's counters.
+///
+/// The `uncov` and `crit[i]` lists of every node on the current path live in
+/// one `u32` arena: a hitting child pushes its filtered lists and truncates
+/// them on return, and a skip child reuses its parent's lists unchanged.
+/// Every other change (`cand`, `can_hit`, group suppression) is recorded on
+/// an undo stack, so once the buffers have grown to the deepest path no
+/// node allocates.
+struct Walk<'a, D, F> {
     system: &'a SetSystem,
+    driver: &'a mut D,
     callback: &'a mut F,
     strategy: BranchStrategy,
+    /// The driver takes the non-hitting branch (and so thins `can_hit`).
+    skip_branch: bool,
+    unhittable_is_fatal: bool,
+    s: Vec<usize>,
+    s_set: FixedBitSet,
+    cand: FixedBitSet,
+    /// Subsets still reachable by some candidate; only thinned, and only
+    /// consulted, when `skip_branch` is set (empty otherwise).
+    can_hit: FixedBitSet,
+    arena: Vec<u32>,
+    /// `(start, end)` of each list in `arena`. A node's lists are the
+    /// `|S| + 1` entries from its base index: `uncov`, then `crit[i]`.
+    regions: Vec<(u32, u32)>,
+    /// `cand ∩ F` of every node on the path, in ascending order: the
+    /// elements its hitting children add.
+    branch: Vec<usize>,
+    /// Undo log: `can_hit` bits cleared for a skip child, or elements a
+    /// group suppressed for a hitting child.
+    undo: Vec<usize>,
+    /// Subsets a hitting child covers, gathered while its kept `uncov` is
+    /// written to the arena.
+    covered: Vec<u32>,
     nodes_expanded: u64,
     emitted: usize,
     stopped: bool,
-    /// Whether, at stop time, any unexplored sibling anywhere on the path
-    /// would have survived the criticality check (i.e. the explicit engine's
-    /// frontier would be non-empty).
+    /// Whether, at stop time, the explicit engine's frontier would still
+    /// hold a node: some not-yet-visited sibling on the path survives the
+    /// criticality check (pruned siblings are never materialised).
     unexplored: bool,
     peak_depth: usize,
 }
 
-/// The undo-hybrid fast path for fresh, unbudgeted DFS runs of the exact
-/// driver: the same tree, visited in the same order with the same prunes,
-/// but mutating one node state in place (push/insert on entry, pop/remove on
-/// exit) instead of snapshotting a `SearchNode` per child. This is what
-/// reclaims the snapshot overhead of the explicit engine on the exact MMCS
-/// kernel. It inlines [`ExactDriver`]'s rules: emit iff `uncov` is empty, no
-/// non-hitting branch, no group suppression, unhittable subsets are fatal.
-fn run_dfs_inplace<F>(
+/// The in-place fast path for fresh, unbudgeted DFS runs of any driver:
+/// the explicit engine's tree, visited in the same order with the same
+/// prunes and the same driver calls, but without a `SearchNode` snapshot per
+/// child. The same emissions, node count and score evaluations come out, and
+/// a callback stop reports the same truncation (without a resume token).
+/// The walk recurses once per tree level; every child drops at least one
+/// candidate element (a hitting child its own element, a skip child
+/// `cand ∩ F`) or, when `cand ∩ F` is empty, the live subset `F`, so the
+/// depth stays below elements + subsets + 1.
+fn walk_in_place<D, F>(
     system: &SetSystem,
+    driver: &mut D,
     strategy: BranchStrategy,
     restrict: Option<&FixedBitSet>,
     callback: &mut F,
 ) -> SearchOutcome
 where
+    D: SearchDriver,
     F: FnMut(&FixedBitSet) -> bool,
 {
     let m = system.num_elements();
-    let mut s: Vec<usize> = Vec::new();
-    let mut s_set = FixedBitSet::new(m);
-    let mut cand = restrict.cloned().unwrap_or_else(|| FixedBitSet::full(m));
-    let uncov: Vec<u32> = (0..system.len() as u32).collect();
-    let crit: Vec<Vec<u32>> = Vec::new();
-    let mut ctx = InplaceCtx {
+    let skip_branch = driver.wants_skip_branch();
+    let mut walk = Walk {
         system,
+        skip_branch,
+        unhittable_is_fatal: driver.unhittable_is_fatal(),
+        driver,
         callback,
         strategy,
+        s: Vec::new(),
+        s_set: FixedBitSet::new(m),
+        cand: restrict.cloned().unwrap_or_else(|| FixedBitSet::full(m)),
+        can_hit: FixedBitSet::full(if skip_branch { system.len() } else { 0 }),
+        arena: (0..system.len() as u32).collect(),
+        regions: vec![(0, system.len() as u32)],
+        branch: Vec::new(),
+        undo: Vec::new(),
+        covered: Vec::new(),
         nodes_expanded: 0,
         emitted: 0,
         stopped: false,
         unexplored: false,
         peak_depth: 0,
     };
-    inplace_walk(&mut ctx, &mut s, &mut s_set, &mut cand, &uncov, &crit, 1);
+    walk.visit(0, 1);
     SearchOutcome {
-        emitted: ctx.emitted,
-        nodes_expanded: ctx.nodes_expanded,
-        truncation: if ctx.stopped && ctx.unexplored {
-            Some(Truncation {
-                reason: TruncationReason::Callback,
-                complete_below: None,
-            })
-        } else {
-            None
-        },
-        peak_frontier: ctx.peak_depth,
+        emitted: walk.emitted,
+        nodes_expanded: walk.nodes_expanded,
+        truncation: (walk.stopped && walk.unexplored).then_some(Truncation {
+            reason: TruncationReason::Callback,
+            complete_below: None,
+        }),
+        peak_frontier: walk.peak_depth,
         contractions: 0,
         score_evaluations: 0,
     }
 }
 
-fn inplace_walk<F>(
-    ctx: &mut InplaceCtx<'_, F>,
-    s: &mut Vec<usize>,
-    s_set: &mut FixedBitSet,
-    cand: &mut FixedBitSet,
-    uncov: &[u32],
-    crit: &[Vec<u32>],
-    depth: usize,
-) where
+impl<D, F> Walk<'_, D, F>
+where
+    D: SearchDriver,
     F: FnMut(&FixedBitSet) -> bool,
 {
-    ctx.nodes_expanded += 1;
-    ctx.peak_depth = ctx.peak_depth.max(depth);
-    if uncov.is_empty() {
-        // Criticality is maintained along every path, so a full cover is
-        // automatically minimal.
-        ctx.emitted += 1;
-        if !(ctx.callback)(s_set) {
-            ctx.stopped = true;
-        }
-        return;
+    fn list(&self, region: usize) -> &[u32] {
+        let (start, end) = self.regions[region];
+        &self.arena[start as usize..end as usize]
     }
-    let chosen = match choose_branch_subset(ctx.system, uncov, cand, None, ctx.strategy, true, None)
-    {
-        Ok(Some(fi)) => fi,
-        _ => return,
-    };
-    let subset = &ctx.system.subsets()[chosen as usize];
 
-    let c: Vec<usize> = cand.intersection(subset).to_vec();
-    for &e in &c {
-        cand.remove(e);
-    }
-    let mut stopped_at: Option<usize> = None;
-    'next_element: for (idx, &e) in c.iter().enumerate() {
-        // Criticality test, building the child's filtered lists.
-        let mut new_crit: Vec<Vec<u32>> = Vec::with_capacity(s.len() + 1);
-        for crit_u in crit.iter() {
-            let filtered: Vec<u32> = crit_u
-                .iter()
-                .copied()
-                .filter(|&fi| !ctx.system.subsets()[fi as usize].contains(e))
-                .collect();
-            if filtered.is_empty() {
-                // `e` stays out of `cand` for later siblings, exactly as in
-                // the explicit engine's `base_cand` discipline.
-                continue 'next_element;
+    /// Visit the node whose lists start at `regions[base]`: classify it,
+    /// then expand it as [`expand`] does — skip child first, then one
+    /// hitting child per element of `cand ∩ F` in ascending order.
+    fn visit(&mut self, base: usize, depth: usize) {
+        self.nodes_expanded += 1;
+        self.peak_depth = self.peak_depth.max(depth);
+        let (start, end) = self.regions[base];
+        let view = NodeView {
+            elements: &self.s,
+            solution: &mut self.s_set,
+            uncov: &self.arena[start as usize..end as usize],
+        };
+        match self.driver.classify(self.system, view) {
+            NodeDisposition::Emit => {
+                self.emitted += 1;
+                self.stopped = !(self.callback)(&self.s_set);
+                return;
             }
-            new_crit.push(filtered);
+            NodeDisposition::Discard => return,
+            NodeDisposition::Expand => {}
         }
-        let mut kept: Vec<u32> = Vec::with_capacity(uncov.len());
-        let mut covered: Vec<u32> = Vec::new();
-        for &fi in uncov {
-            if ctx.system.subsets()[fi as usize].contains(e) {
-                covered.push(fi);
-            } else {
-                kept.push(fi);
-            }
-        }
-        new_crit.push(covered);
+        let live = self.skip_branch.then_some(&self.can_hit);
+        let chosen = match choose_branch_subset(
+            self.system,
+            self.list(base),
+            &self.cand,
+            live,
+            self.strategy,
+            self.unhittable_is_fatal,
+            None,
+        ) {
+            Ok(Some(fi)) => fi,
+            _ => return,
+        };
+        let subset = &self.system.subsets()[chosen as usize];
 
-        s.push(e);
-        s_set.insert(e);
-        inplace_walk(ctx, s, s_set, cand, &kept, &new_crit, depth + 1);
-        s.pop();
-        s_set.remove(e);
-        cand.insert(e);
-        if ctx.stopped {
-            stopped_at = Some(idx);
-            break;
+        // `cand ∩ F` leaves the pool: what remains is both the skip child's
+        // `cand − F` and the hitting children's `base_cand`.
+        let branch_start = self.branch.len();
+        for e in subset.iter() {
+            if self.cand.contains(e) {
+                self.cand.remove(e);
+                self.branch.push(e);
+            }
         }
-    }
-    if let Some(idx) = stopped_at {
-        // Mirror the explicit engine's truncation report: the run counts as
-        // truncated iff its frontier would be non-empty, i.e. iff some
-        // not-yet-visited sibling survives the criticality check (pruned
-        // siblings are never materialised as frontier nodes).
-        if !ctx.unexplored {
-            ctx.unexplored = c[idx + 1..].iter().any(|&e| {
-                crit.iter().all(|crit_u| {
-                    crit_u
+        let branch_end = self.branch.len();
+
+        if self.skip_branch {
+            self.visit_skip_child(base, depth);
+        }
+        for idx in branch_start..branch_end {
+            if self.stopped {
+                if !self.unexplored {
+                    self.unexplored = self.branch[idx..branch_end]
                         .iter()
-                        .any(|&fi| !ctx.system.subsets()[fi as usize].contains(e))
-                })
-            });
+                        .any(|&e| self.survives_criticality(base, e));
+                }
+                break;
+            }
+            let e = self.branch[idx];
+            // The element re-enters the pool for later siblings only if it
+            // passed the criticality test (`base_cand`).
+            if self.visit_hitting_child(base, e, depth) {
+                self.cand.insert(e);
+            }
         }
+        for &e in &self.branch[branch_start..branch_end] {
+            self.cand.insert(e);
+        }
+        self.branch.truncate(branch_start);
     }
-    // Restore the candidate pool exactly (criticality-pruned elements did
-    // not re-enter above; on an early stop later siblings did not either).
-    for &e in &c {
-        if !cand.contains(e) {
-            cand.insert(e);
+
+    /// The branch that does not hit the chosen subset: `cand` is already
+    /// `cand − F`; every uncovered subset left without candidates leaves
+    /// `can_hit` (`UpdateCanCover`) until the child returns.
+    fn visit_skip_child(&mut self, base: usize, depth: usize) {
+        let mark = self.undo.len();
+        let (start, end) = self.regions[base];
+        for &fi in &self.arena[start as usize..end as usize] {
+            if self.can_hit.contains(fi as usize)
+                && !self.system.subsets()[fi as usize].intersects(&self.cand)
+            {
+                self.can_hit.remove(fi as usize);
+                self.undo.push(fi as usize);
+            }
         }
+        if self
+            .driver
+            .explore_skip_branch(self.system, &self.s_set, &self.cand)
+        {
+            // The partial solution is unchanged, so are its lists.
+            self.visit(base, depth + 1);
+        }
+        for &fi in &self.undo[mark..] {
+            self.can_hit.insert(fi);
+        }
+        self.undo.truncate(mark);
+    }
+
+    /// The child `S ∪ {e}`, unless some element of `S` would stop being
+    /// critical; returns whether it was visited. Its lists go to the arena
+    /// in the order `crit[0..|S|]` (checked first, so a pruned child writes
+    /// little), kept `uncov`, and the covered subsets as the new `crit[|S|]`.
+    fn visit_hitting_child(&mut self, base: usize, e: usize, depth: usize) -> bool {
+        let subsets = self.system.subsets();
+        let arena_mark = self.arena.len();
+        let child = self.regions.len();
+        self.regions.push((0, 0));
+        for i in 0..self.s.len() {
+            let (start, end) = self.regions[base + 1 + i];
+            let from = self.arena.len();
+            for j in start as usize..end as usize {
+                let fi = self.arena[j];
+                if !subsets[fi as usize].contains(e) {
+                    self.arena.push(fi);
+                }
+            }
+            if self.arena.len() == from {
+                self.arena.truncate(arena_mark);
+                self.regions.truncate(child);
+                return false;
+            }
+            self.regions.push((from as u32, self.arena.len() as u32));
+        }
+        let (start, end) = self.regions[base];
+        let kept_from = self.arena.len();
+        self.covered.clear();
+        for j in start as usize..end as usize {
+            let fi = self.arena[j];
+            if subsets[fi as usize].contains(e) {
+                self.covered.push(fi);
+            } else {
+                self.arena.push(fi);
+            }
+        }
+        self.regions[child] = (kept_from as u32, self.arena.len() as u32);
+        let covered_from = self.arena.len();
+        self.arena.extend_from_slice(&self.covered);
+        self.regions
+            .push((covered_from as u32, self.arena.len() as u32));
+
+        // RemoveRedundantPreds: same-group elements leave the candidate list
+        // for this branch only.
+        let mark = self.undo.len();
+        for &other in self.driver.group_mates(e) {
+            if other != e && self.cand.contains(other) {
+                self.cand.remove(other);
+                self.undo.push(other);
+            }
+        }
+        self.s.push(e);
+        self.s_set.insert(e);
+        self.visit(child, depth + 1);
+        self.s.pop();
+        self.s_set.remove(e);
+        for &other in &self.undo[mark..] {
+            self.cand.insert(other);
+        }
+        self.undo.truncate(mark);
+        self.arena.truncate(arena_mark);
+        self.regions.truncate(child);
+        true
+    }
+
+    /// Whether `S ∪ {e}` keeps every element of `S` critical, for the node
+    /// whose lists start at `regions[base]`.
+    fn survives_criticality(&self, base: usize, e: usize) -> bool {
+        (0..self.s.len()).all(|i| {
+            self.list(base + 1 + i)
+                .iter()
+                .any(|&fi| !self.system.subsets()[fi as usize].contains(e))
+        })
     }
 }
 

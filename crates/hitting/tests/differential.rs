@@ -158,6 +158,47 @@ fn mmcs_sliced(
     sliced(system, Search::exact, search, slice_budget)
 }
 
+/// Run `search` on both walks: unbudgeted (the in-place walk) and under a
+/// `u64::MAX` node budget (the explicit engine). Exhaustive runs must emit
+/// the same sequence with the same counters; runs whose callback stops after
+/// `stop_after` emissions must emit the same prefix and report the same
+/// truncation (`Some` iff the explicit frontier still held a node).
+fn assert_walks_agree(system: &SetSystem, search: Search<'_>, stop_after: usize, label: &str) {
+    let explicit = SearchBudget::unlimited().with_max_nodes(u64::MAX);
+    let run = |budget: SearchBudget, stop_after: usize| {
+        let mut out = Vec::new();
+        let (outcome, token) = search.clone().run(system, budget, |s| {
+            out.push(s.to_vec());
+            out.len() < stop_after
+        });
+        (out, outcome, token)
+    };
+    let counters = |o: &SearchOutcome| (o.emitted, o.nodes_expanded, o.score_evaluations);
+
+    let (walked, walk, token) = run(SearchBudget::unlimited(), usize::MAX);
+    let (engine_out, engine, _) = run(explicit, usize::MAX);
+    assert!(
+        token.is_none(),
+        "{label}: the in-place walk yields no token"
+    );
+    assert!(walk.is_exhaustive() && engine.is_exhaustive(), "{label}");
+    assert_eq!(walked, engine_out, "{label}: emission sequence");
+    assert_eq!(counters(&walk), counters(&engine), "{label}: counters");
+
+    let (walked, walk, _) = run(SearchBudget::unlimited(), stop_after);
+    let (engine_out, engine, _) = run(explicit, stop_after);
+    assert_eq!(walked, engine_out, "{label}: stopped prefix");
+    assert_eq!(
+        walk.truncation, engine.truncation,
+        "{label}: stopped truncation"
+    );
+    assert_eq!(
+        counters(&walk),
+        counters(&engine),
+        "{label}: stopped counters"
+    );
+}
+
 proptest! {
     #[test]
     fn brute_mmcs_and_approx_agree_on_random_systems(
@@ -381,26 +422,46 @@ proptest! {
     fn inplace_dfs_walk_matches_the_explicit_engine_sequence(
         universe_seed in 0usize..1_000,
         raw_subsets in vec(vec(0usize..16, 1..5), 1..10),
+        raw_groups in vec(0usize..4, 16..17),
+        allowed_bits in vec(any::<bool>(), 16..17),
+        stop_after in 1usize..4,
     ) {
-        // Unbudgeted exact DFS takes the in-place undo walk; any budget
-        // forces the explicit snapshot frontier. Same tree, same order —
-        // the emission sequences must be identical.
+        // Unbudgeted DFS takes the in-place walk; any budget forces the
+        // explicit snapshot frontier. Same tree, same order, for both
+        // drivers: exact (whole universe and confined by `within`) and
+        // approximate over an ε grid off every coverage-fraction boundary
+        // (fractions j/n with n ≤ 9), with groups and `WillCover` on and off.
         let system = build_system(universe_seed, &raw_subsets);
+        let m = system.num_elements();
+        let groups = &raw_groups[..m];
+        let allowed = FixedBitSet::from_indices(m, (0..m).filter(|&e| allowed_bits[e]));
+        let score = coverage_score(&system);
         for strategy in [
             BranchStrategy::MaxIntersection,
             BranchStrategy::MinIntersection,
             BranchStrategy::First,
         ] {
-            let search = Search::exact()
-                .with_strategy(strategy)
-                .with_order(SearchOrder::Dfs);
-            let (inplace, _, _) = collect(search.clone(), &system, SearchBudget::unlimited());
-            let (explicit, _, _) = collect(
-                search,
-                &system,
-                SearchBudget::unlimited().with_max_nodes(u64::MAX),
-            );
-            prop_assert_eq!(&inplace, &explicit, "strategy {:?}", strategy);
+            let exact = Search::exact().with_strategy(strategy);
+            let label = format!("exact {strategy:?}");
+            assert_walks_agree(&system, exact.clone(), stop_after, &label);
+            let label = format!("exact within {strategy:?}");
+            assert_walks_agree(&system, exact.within(&allowed), stop_after, &label);
+            for epsilon in [0.0, 0.050_5, 0.150_5, 0.330_5] {
+                for grouped in [false, true] {
+                    for will_cover in [false, true] {
+                        let mut config =
+                            ApproxEnumConfig::new(epsilon).with_will_cover_pruning(will_cover);
+                        if grouped {
+                            config = config.with_element_groups(groups);
+                        }
+                        let search = Search::approx(&score, config).with_strategy(strategy);
+                        let label = format!(
+                            "approx ε={epsilon} groups={grouped} will_cover={will_cover} {strategy:?}"
+                        );
+                        assert_walks_agree(&system, search, stop_after, &label);
+                    }
+                }
+            }
         }
     }
 
