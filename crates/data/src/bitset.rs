@@ -32,10 +32,11 @@ impl FixedBitSet {
 
     /// Create a bitset with every bit in `0..capacity` set.
     pub fn full(capacity: usize) -> Self {
-        let mut s = Self::new(capacity);
-        for i in 0..capacity {
-            s.insert(i);
-        }
+        let mut s = FixedBitSet {
+            words: vec![!0u64; capacity.div_ceil(WORD_BITS)],
+            capacity,
+        };
+        s.mask_tail();
         s
     }
 
@@ -319,6 +320,24 @@ mod tests {
         s.remove(64);
         assert!(!s.contains(64));
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn full_equals_every_index_with_clear_tail() {
+        for cap in [0, 1, 63, 64, 65, 130] {
+            let full = FixedBitSet::full(cap);
+            assert_eq!(
+                full,
+                FixedBitSet::from_indices(cap, 0..cap),
+                "capacity {cap}"
+            );
+            assert_eq!(full.len(), cap);
+            let rem = cap % 64;
+            if rem != 0 {
+                let last = *full.as_words().last().unwrap();
+                assert_eq!(last >> rem, 0, "tail bits set at capacity {cap}");
+            }
+        }
     }
 
     #[test]

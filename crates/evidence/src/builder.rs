@@ -70,6 +70,7 @@ impl EvidenceBuilder for NaiveEvidenceBuilder {
 }
 
 /// Per-column data reduced to comparison-friendly primitives.
+#[derive(Debug, Clone)]
 pub(crate) enum ColumnCodes {
     /// Numeric cell values (`None` = null).
     Numeric(Vec<Option<f64>>),
@@ -96,9 +97,11 @@ pub(crate) struct GroupMasks {
     pub(crate) greater: Vec<(usize, u64)>,
 }
 
-/// Reduce every column to comparison-friendly primitive codes.
-pub(crate) fn column_codes(relation: &Relation) -> Vec<ColumnCodes> {
-    // Global text dictionary so that codes are comparable across columns.
+/// The global text dictionary behind [`ColumnCodes::Text`]: every string of
+/// every text column's dictionary, numbered in first-seen order (columns in
+/// schema order, each dictionary in code order), so codes are comparable
+/// across columns.
+pub(crate) fn text_dictionary(relation: &Relation) -> FxHashMap<&str, u32> {
     let mut global: FxHashMap<&str, u32> = FxHashMap::default();
     for col in relation.columns() {
         if let Column::Text { dict, .. } = col {
@@ -108,6 +111,12 @@ pub(crate) fn column_codes(relation: &Relation) -> Vec<ColumnCodes> {
             }
         }
     }
+    global
+}
+
+/// Reduce every column to comparison-friendly primitive codes.
+pub(crate) fn column_codes(relation: &Relation) -> Vec<ColumnCodes> {
+    let global = text_dictionary(relation);
     relation
         .columns()
         .iter()
@@ -127,9 +136,10 @@ pub(crate) fn column_codes(relation: &Relation) -> Vec<ColumnCodes> {
 /// Assemble `Sat(t, t_prime)` into `buffer` (one `u64` word per 64 predicate
 /// ids, zeroed by this function) using precomputed codes and group masks.
 ///
-/// This is the shared inner kernel of [`ClusterEvidenceBuilder`], the sweep
-/// kernel and the delta builder — keeping it in one place is what
-/// guarantees they agree on every individual evidence bitset.
+/// This is the shared inner kernel of [`ClusterEvidenceBuilder`] and the
+/// sweep kernel — keeping it in one place is what guarantees they agree on
+/// every individual evidence bitset. The delta builder fills its `Sat`s a
+/// column at a time instead, and debug builds check each one against this.
 pub(crate) fn fill_pair(
     codes: &[ColumnCodes],
     groups: &[GroupMasks],

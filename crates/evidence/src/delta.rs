@@ -6,10 +6,38 @@
 //! only retracts the pairs it participated in. [`DeltaEvidenceBuilder`]
 //! maintains the interned evidence multiset (and optionally the [`Vios`]
 //! index) under insert/delete batches by scanning exactly those affected
-//! pairs with the same cluster kernel
-//! ([`column_codes`](crate::builder) / group masks / `fill_pair`) the batch
-//! builders use, annotating each pair `+1` on insert and `−1` on delete —
-//! the DBSP/DVM discipline applied to evidence multisets.
+//! pairs — the DBSP/DVM discipline applied to evidence multisets. One batch
+//! is two Z-sets, applied in order: the `−1` pairs of the deleted rows
+//! against the old relation, then the `+1` pairs of the inserted rows
+//! against the patched one.
+//!
+//! * **Maintained codes.** The builder keeps the relation's
+//!   [`column_codes`](crate::builder) and their one global text dictionary.
+//!   A delete drops the deleted rows' codes; an insert codes the new rows'
+//!   values, giving a string seen for the first time the next global code.
+//!   Nothing is recomputed from the whole relation per batch.
+//! * **Column-at-a-time fill.** For each deleted or inserted row `i`, one
+//!   flat word buffer receives `Sat(i, j)` and `Sat(j, i)` for every other
+//!   row `j`, one structure group at a time: row `i`'s operand is fixed and
+//!   the loop runs down the other column. A `Same`-role group is a constant
+//!   mask on the `i`-as-`t` side and each row's own outcome on the
+//!   `j`-as-`t` side, so those masks are computed once per side. Outcomes
+//!   are `group_outcome`'s: nulls and NaN satisfy nothing, −0.0 equals 0.0.
+//!   Debug builds check every filled pair against `fill_pair`, the kernel
+//!   the batch builders share.
+//! * **Consolidation.** The filled words are consolidated into
+//!   (distinct `Sat`, multiplicity) in first-occurrence scan order, and the
+//!   accumulator is touched once per distinct `Sat`
+//!   ([`EvidenceAccumulator::retract_many`] / [`EvidenceAccumulator::add_many`])
+//!   — a few hundred touches where there are thousands of pairs. Only the
+//!   `Vios` path keeps a per-pair step: each pair credits its two tuples on
+//!   the entry its consolidated `Sat` resolved to.
+//!
+//! The result is exactly what applying each pair on its own, in scan
+//! order, would give — entry order included — because entries are created
+//! in first-occurrence order and a retraction can only fail when the same
+//! retractions one at a time would. The `tests` module pins this against a
+//! per-pair reference.
 //!
 //! After every [`DeltaEvidenceBuilder::apply`] the maintained state equals a
 //! from-scratch [`ClusterEvidenceBuilder`](crate::ClusterEvidenceBuilder)
@@ -22,13 +50,13 @@
 
 #![doc = "conformance: ordered-output"]
 
-use crate::builder::{column_codes, fill_pair, group_masks, ColumnCodes, GroupMasks};
+use crate::builder::{column_codes, group_masks, text_dictionary, ColumnCodes, GroupMasks};
 use crate::evidence::{EvidenceAccumulator, EvidenceSet};
 use crate::vios::Vios;
 use crate::{Evidence, EvidenceBuilder};
 use adc_data::fx::FxHashMap;
 use adc_data::{DataError, FixedBitSet, Relation, Value};
-use adc_predicates::PredicateSpace;
+use adc_predicates::{PredicateSpace, TupleRole};
 
 /// What one [`DeltaEvidenceBuilder::apply`] did to the evidence multiset, in
 /// terms of **post-compaction** entry indexes (except for removals, whose
@@ -96,14 +124,168 @@ impl EvidenceDelta {
     }
 }
 
+/// Outcome index of a comparison that satisfies nothing (a null operand or
+/// a NaN), the fourth column of every [`FillGroup`] mask table.
+const NO_OUTCOME: usize = 3;
+
+/// Pairs the `Vios` path logs before it applies the consolidated `Sat`s
+/// gathered so far, which bounds the per-pair log on large batches.
+const VIOS_FLUSH_PAIRS: usize = 1 << 16;
+
+/// One structure group reduced for the column-at-a-time fill.
+#[derive(Debug, Clone)]
+struct FillGroup {
+    left_col: usize,
+    right_col: usize,
+    /// `(word, masks)` for every `Sat` word the group writes; `masks` is
+    /// indexed by outcome: `Less`, `Equal`, `Greater`, [`NO_OUTCOME`].
+    words: Vec<(usize, [u64; 4])>,
+}
+
+impl FillGroup {
+    fn new(g: &GroupMasks) -> Self {
+        let mut words: Vec<(usize, [u64; 4])> = Vec::new();
+        for (outcome, masks) in [&g.less, &g.equal, &g.greater].into_iter().enumerate() {
+            for &(w, m) in masks {
+                match words.iter_mut().find(|(word, _)| *word == w) {
+                    Some((_, table)) => table[outcome] |= m,
+                    None => {
+                        let mut table = [0; 4];
+                        table[outcome] = m;
+                        words.push((w, table));
+                    }
+                }
+            }
+        }
+        FillGroup {
+            left_col: g.left_col,
+            right_col: g.right_col,
+            words,
+        }
+    }
+}
+
+/// `cmp(a, b)` as a [`FillGroup`] outcome index; NaN compares as nothing
+/// and −0.0 equals 0.0, exactly as `f64::partial_cmp`.
+#[inline]
+fn numeric_outcome(a: f64, b: f64) -> usize {
+    NO_OUTCOME - 3 * usize::from(a < b) - 2 * usize::from(a == b) - usize::from(a > b)
+}
+
+/// Text groups reuse `Equal` and `Greater` ("not equal").
+#[inline]
+fn text_outcome(a: u32, b: u32) -> usize {
+    2 - usize::from(a == b)
+}
+
+/// OR the masks of each row's outcome into that row's `Sat` words
+/// (`words` per row, rows back to back in `sats`).
+#[inline]
+fn or_outcomes(
+    sats: &mut [u64],
+    words: usize,
+    table: &[(usize, [u64; 4])],
+    outcomes: impl Iterator<Item = usize>,
+) {
+    match table {
+        // The usual shape: all of a group's predicates share one word.
+        [(_, masks)] if words == 1 => {
+            for (word, k) in sats.iter_mut().zip(outcomes) {
+                *word |= masks[k & 3];
+            }
+        }
+        _ => {
+            for (sat, k) in sats.chunks_exact_mut(words).zip(outcomes) {
+                for (w, masks) in table {
+                    sat[*w] |= masks[k & 3];
+                }
+            }
+        }
+    }
+}
+
+/// Drop the rows marked in `deleted`, keeping the order of the rest.
+fn retain_rows<T>(values: &mut Vec<T>, deleted: &[bool]) {
+    // `retain` visits every element once, in order.
+    let mut deleted = deleted.iter();
+    values.retain(|_| deleted.next() == Some(&false));
+}
+
+/// The reused buffers of one row's column-at-a-time fill: for row `i` and
+/// every other row `j`, `Sat(i, j)` in `fwd` and `Sat(j, i)` in `rev`, each
+/// `words` words per `j`.
+#[derive(Debug, Default)]
+struct RowFill {
+    fwd: Vec<u64>,
+    rev: Vec<u64>,
+}
+
+impl RowFill {
+    /// `(Sat(i, j), Sat(j, i))` for `j = 0, 1, …`.
+    fn pairs(&self, words: usize) -> impl Iterator<Item = (&[u64], &[u64])> {
+        self.fwd
+            .chunks_exact(words)
+            .zip(self.rev.chunks_exact(words))
+    }
+}
+
+/// Which half of a batch a [`ZSet`] holds.
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    /// The deleted rows' pairs, each with multiplicity −1.
+    Retract,
+    /// The inserted rows' pairs, each with multiplicity +1.
+    Record,
+}
+
+/// One side of a batch as a Z-set under construction: every distinct `Sat`
+/// once, in first-occurrence order, with its multiplicity.
+#[derive(Debug, Default)]
+struct ZSet {
+    index: FxHashMap<Vec<u64>, u32>,
+    /// The distinct `Sat`s' words, back to back, in first-occurrence order.
+    sats: Vec<u64>,
+    counts: Vec<u64>,
+    /// `(distinct Sat, t, t')` per scanned pair; logged only with `Vios`.
+    pairs: Vec<(u32, u32, u32)>,
+}
+
+impl ZSet {
+    fn push(&mut self, sat: &[u64], t: usize, t_prime: usize, log_pair: bool) {
+        let class = match self.index.get(sat) {
+            Some(&class) => {
+                self.counts[class as usize] += 1;
+                class
+            }
+            None => {
+                let class = self.counts.len() as u32;
+                self.index.insert(sat.to_vec(), class);
+                self.sats.extend_from_slice(sat);
+                self.counts.push(1);
+                class
+            }
+        };
+        if log_pair {
+            self.pairs.push((class, t as u32, t_prime as u32));
+        }
+    }
+
+    fn clear(&mut self) {
+        self.index.clear();
+        self.sats.clear();
+        self.counts.clear();
+        self.pairs.clear();
+    }
+}
+
 /// Maintains the evidence state of one relation under tuple insert/delete
 /// batches, scanning only affected pairs.
 ///
 /// The builder owns the current relation (callers read it back via
-/// [`DeltaEvidenceBuilder::relation`]) because retractions must be evaluated
-/// against the *pre-delete* column codes and insertions against the
-/// *post-insert* ones — owning the relation makes that sequencing
-/// impossible to get wrong from outside.
+/// [`DeltaEvidenceBuilder::relation`]) and its column codes, because
+/// retractions must be evaluated against the *pre-delete* codes and
+/// insertions against the *post-insert* ones — owning both makes that
+/// sequencing impossible to get wrong from outside.
 ///
 /// The predicate space is fixed at construction: predicate-space generation
 /// depends on whole-relation statistics (the 30 % shared-values rule), so a
@@ -115,10 +297,18 @@ pub struct DeltaEvidenceBuilder {
     relation: Relation,
     acc: EvidenceAccumulator,
     vios: Option<Vios>,
-    /// Cached kernel state: group masks depend only on the (frozen) space;
-    /// column codes must be recomputed whenever rows change, so they are not
-    /// cached here.
+    /// Column codes of `relation`, maintained under every delete and insert.
+    codes: Vec<ColumnCodes>,
+    /// The global text dictionary behind the `Text` codes.
+    dictionary: FxHashMap<String, u32>,
+    /// The space's structure groups, for the `fill_pair` reference debug
+    /// builds check every filled `Sat` against.
+    #[cfg(debug_assertions)]
     groups: Vec<GroupMasks>,
+    /// `TupleRole::Same` groups, reduced for the fill.
+    same_groups: Vec<FillGroup>,
+    /// `TupleRole::Other` groups, reduced for the fill.
+    other_groups: Vec<FillGroup>,
     num_predicates: usize,
 }
 
@@ -168,11 +358,33 @@ impl DeltaEvidenceBuilder {
             evidence_set.entries().iter().all(|e| e.count > 0),
             "differential maintenance requires compacted evidence (no zero-count entries)"
         );
+        let codes = column_codes(&relation);
+        let dictionary = text_dictionary(&relation)
+            .into_iter()
+            .map(|(s, code)| (s.to_owned(), code))
+            .collect();
+        let groups = group_masks(space);
+        // A group whose columns do not hold its comparison's kind of codes
+        // satisfies nothing on any pair (`group_outcome` answers `None`).
+        let live = groups.iter().filter(|g| {
+            matches!(
+                (g.numeric, &codes[g.left_col], &codes[g.right_col]),
+                (true, ColumnCodes::Numeric(_), ColumnCodes::Numeric(_))
+                    | (false, ColumnCodes::Text(_), ColumnCodes::Text(_))
+            )
+        });
+        let (same, other): (Vec<&GroupMasks>, Vec<&GroupMasks>) =
+            live.partition(|g| g.right_role == TupleRole::Same);
         DeltaEvidenceBuilder {
             relation,
             acc: EvidenceAccumulator::from_set(evidence_set),
             vios,
-            groups: group_masks(space),
+            codes,
+            dictionary,
+            same_groups: same.into_iter().map(FillGroup::new).collect(),
+            other_groups: other.into_iter().map(FillGroup::new).collect(),
+            #[cfg(debug_assertions)]
+            groups,
             num_predicates: space.len(),
         }
     }
@@ -237,31 +449,38 @@ impl DeltaEvidenceBuilder {
         let mut net_change: FxHashMap<usize, i64> = FxHashMap::default();
         let mut pairs_scanned = 0u64;
         let words = self.num_predicates.div_ceil(64);
-        let mut buffer = vec![0u64; words];
+        let mut fill = RowFill::default();
+        let mut zset = ZSet::default();
+        let log_pairs = self.vios.is_some();
         let mut deleted = vec![false; n_old];
         for &d in &deletes {
             deleted[d] = true;
         }
 
         // Phase 1 — retract every ordered pair involving a deleted row,
-        // against the *old* relation's codes (each affected pair exactly
-        // once: all pairs whose first element is deleted, plus pairs whose
-        // second element is deleted but first is not).
+        // against the *old* codes (each affected pair exactly once: all
+        // pairs whose first element is deleted, plus pairs whose second
+        // element is deleted but first is not).
         if !deletes.is_empty() && self.num_predicates > 0 {
-            let codes = column_codes(&self.relation);
+            let same = self.same_masks(n_old);
             for &d in &deletes {
-                for (other, &other_deleted) in deleted.iter().enumerate() {
+                self.fill_row(d, n_old, &same, &mut fill);
+                for (other, (sat_fwd, sat_rev)) in fill.pairs(words).enumerate() {
                     if other == d {
                         continue;
                     }
-                    self.retract_one(&codes, d, other, &mut buffer, &mut net_change);
+                    zset.push(sat_fwd, d, other, log_pairs);
                     pairs_scanned += 1;
-                    if !other_deleted {
-                        self.retract_one(&codes, other, d, &mut buffer, &mut net_change);
+                    if !deleted[other] {
+                        zset.push(sat_rev, other, d, log_pairs);
                         pairs_scanned += 1;
                     }
                 }
+                if zset.pairs.len() >= VIOS_FLUSH_PAIRS {
+                    self.apply_zset(&mut zset, Side::Retract, &mut net_change);
+                }
             }
+            self.apply_zset(&mut zset, Side::Retract, &mut net_change);
         }
 
         // Phase 2 — drop the deleted rows, renumbering survivors.
@@ -272,27 +491,39 @@ impl DeltaEvidenceBuilder {
                 old_to_new[old] = Some(new as u32);
             }
             self.relation = self.relation.project_rows(&kept);
+            for codes in &mut self.codes {
+                match codes {
+                    ColumnCodes::Numeric(v) => retain_rows(v, &deleted),
+                    ColumnCodes::Text(v) => retain_rows(v, &deleted),
+                }
+            }
             if let Some(v) = self.vios.as_mut() {
                 v.renumber_tuples(&old_to_new, kept.len());
             }
         }
 
         // Phase 3 — append the inserts and record every ordered pair
-        // involving a new row, against the *new* relation's codes (pair
-        // (a, b) with at least one new row is handled at i = max(a, b),
-        // which is always an inserted index because inserts sit at the end).
+        // involving a new row, against the *new* codes (pair (a, b) with at
+        // least one new row is handled at i = max(a, b), which is always an
+        // inserted index because inserts sit at the end).
         let n_mid = self.relation.len();
+        self.push_codes(&inserts);
         self.relation.append_rows(inserts)?;
         let n_new = self.relation.len();
         if n_new > n_mid && self.num_predicates > 0 {
-            let codes = column_codes(&self.relation);
+            let same = self.same_masks(n_new);
             for i in n_mid..n_new {
-                for j in 0..i {
-                    self.record_one(&codes, i, j, &mut buffer, &mut net_change);
-                    self.record_one(&codes, j, i, &mut buffer, &mut net_change);
+                self.fill_row(i, i, &same, &mut fill);
+                for (j, (sat_fwd, sat_rev)) in fill.pairs(words).enumerate() {
+                    zset.push(sat_fwd, i, j, log_pairs);
+                    zset.push(sat_rev, j, i, log_pairs);
                     pairs_scanned += 2;
                 }
+                if zset.pairs.len() >= VIOS_FLUSH_PAIRS {
+                    self.apply_zset(&mut zset, Side::Record, &mut net_change);
+                }
             }
+            self.apply_zset(&mut zset, Side::Record, &mut net_change);
         }
         debug_assert_eq!(
             self.acc.current().total_pairs(),
@@ -340,51 +571,161 @@ impl DeltaEvidenceBuilder {
         })
     }
 
-    fn retract_one(
-        &mut self,
-        codes: &[ColumnCodes],
-        t: usize,
-        t_prime: usize,
-        buffer: &mut [u64],
-        net_change: &mut FxHashMap<usize, i64>,
-    ) {
-        fill_pair(codes, &self.groups, t, t_prime, buffer);
-        let set = FixedBitSet::from_words(self.num_predicates, buffer);
-        let entry = self.acc.retract(&set);
-        *net_change.entry(entry).or_insert(0) -= 1;
-        if let Some(v) = self.vios.as_mut() {
-            v.retract_pair(entry, t as u32, t_prime as u32);
+    /// Each of the first `rows` rows' `Same`-group words (`Sat` bits that
+    /// depend on the pair's `t` alone), one row after another.
+    fn same_masks(&self, rows: usize) -> Vec<u64> {
+        let words = self.num_predicates.div_ceil(64);
+        let mut same = vec![0u64; rows * words];
+        for g in &self.same_groups {
+            match (&self.codes[g.left_col], &self.codes[g.right_col]) {
+                (ColumnCodes::Numeric(l), ColumnCodes::Numeric(r)) => {
+                    let outcomes = l.iter().zip(r).map(|pair| match pair {
+                        (&Some(a), &Some(b)) => numeric_outcome(a, b),
+                        _ => NO_OUTCOME,
+                    });
+                    or_outcomes(&mut same, words, &g.words, outcomes);
+                }
+                (ColumnCodes::Text(l), ColumnCodes::Text(r)) => {
+                    let outcomes = l.iter().zip(r).map(|pair| match pair {
+                        (&Some(a), &Some(b)) => text_outcome(a, b),
+                        _ => NO_OUTCOME,
+                    });
+                    or_outcomes(&mut same, words, &g.words, outcomes);
+                }
+                _ => {}
+            }
+        }
+        same
+    }
+
+    /// Fill `fill.fwd` with `Sat(i, j)` and `fill.rev` with `Sat(j, i)` for
+    /// every `j < rows`, one group at a time down the other column. Row
+    /// `j = i` is filled but meaningless.
+    fn fill_row(&self, i: usize, rows: usize, same: &[u64], fill: &mut RowFill) {
+        let words = self.num_predicates.div_ceil(64);
+        let RowFill { fwd, rev } = fill;
+        let own = &same[i * words..(i + 1) * words];
+        fwd.clear();
+        for _ in 0..rows {
+            fwd.extend_from_slice(own);
+        }
+        rev.clear();
+        rev.extend_from_slice(&same[..rows * words]);
+        for g in &self.other_groups {
+            match (&self.codes[g.left_col], &self.codes[g.right_col]) {
+                (ColumnCodes::Numeric(l), ColumnCodes::Numeric(r)) => {
+                    if let Some(a) = l[i] {
+                        let outcomes = r[..rows]
+                            .iter()
+                            .map(|b| b.map_or(NO_OUTCOME, |b| numeric_outcome(a, b)));
+                        or_outcomes(fwd, words, &g.words, outcomes);
+                    }
+                    if let Some(b) = r[i] {
+                        let outcomes = l[..rows]
+                            .iter()
+                            .map(|a| a.map_or(NO_OUTCOME, |a| numeric_outcome(a, b)));
+                        or_outcomes(rev, words, &g.words, outcomes);
+                    }
+                }
+                (ColumnCodes::Text(l), ColumnCodes::Text(r)) => {
+                    if let Some(a) = l[i] {
+                        let outcomes = r[..rows]
+                            .iter()
+                            .map(|b| b.map_or(NO_OUTCOME, |b| text_outcome(a, b)));
+                        or_outcomes(fwd, words, &g.words, outcomes);
+                    }
+                    if let Some(b) = r[i] {
+                        let outcomes = l[..rows]
+                            .iter()
+                            .map(|a| a.map_or(NO_OUTCOME, |a| text_outcome(a, b)));
+                        or_outcomes(rev, words, &g.words, outcomes);
+                    }
+                }
+                _ => {}
+            }
+        }
+        #[cfg(debug_assertions)]
+        {
+            let mut check = vec![0u64; words];
+            let pairs = fwd.chunks_exact(words).zip(rev.chunks_exact(words));
+            for (j, (sat_ij, sat_ji)) in pairs.enumerate().filter(|&(j, _)| j != i) {
+                crate::builder::fill_pair(&self.codes, &self.groups, i, j, &mut check);
+                debug_assert_eq!(sat_ij, check, "column fill diverged on Sat({i}, {j})");
+                crate::builder::fill_pair(&self.codes, &self.groups, j, i, &mut check);
+                debug_assert_eq!(sat_ji, check, "column fill diverged on Sat({j}, {i})");
+            }
         }
     }
 
-    fn record_one(
-        &mut self,
-        codes: &[ColumnCodes],
-        t: usize,
-        t_prime: usize,
-        buffer: &mut [u64],
-        net_change: &mut FxHashMap<usize, i64>,
-    ) {
-        fill_pair(codes, &self.groups, t, t_prime, buffer);
-        let entry = self
-            .acc
-            .add(FixedBitSet::from_words(self.num_predicates, buffer));
-        *net_change.entry(entry).or_insert(0) += 1;
-        if let Some(v) = self.vios.as_mut() {
-            // A brand-new entry index may be past what the index has seen.
-            v.ensure_entries(entry + 1);
-            v.record_pair(entry, t as u32, t_prime as u32);
+    /// Append the codes of `rows` (already checked against the schema); a
+    /// string not seen before gets the next global text code.
+    fn push_codes(&mut self, rows: &[Vec<Value>]) {
+        for row in rows {
+            for (codes, value) in self.codes.iter_mut().zip(row) {
+                match (codes, value) {
+                    (ColumnCodes::Numeric(v), &Value::Int(x)) => v.push(Some(x as f64)),
+                    (ColumnCodes::Numeric(v), &Value::Float(x)) => v.push(Some(x)),
+                    (ColumnCodes::Numeric(v), Value::Null) => v.push(None),
+                    (ColumnCodes::Text(v), Value::Str(s)) => {
+                        let next = self.dictionary.len() as u32;
+                        let code = match self.dictionary.get(s.as_str()) {
+                            Some(&code) => code,
+                            None => {
+                                self.dictionary.insert(s.clone(), next);
+                                next
+                            }
+                        };
+                        v.push(Some(code));
+                    }
+                    (ColumnCodes::Text(v), Value::Null) => v.push(None),
+                    // conformance: allow(panic) — `apply` ran `check_rows` on these rows, so no other column/value pairing survives
+                    _ => unreachable!("insert rows are schema-checked before they are coded"),
+                }
+            }
         }
+    }
+
+    /// Apply one consolidated side of a batch: one accumulator touch and one
+    /// `net_change` update per distinct `Sat`, then the per-pair `Vios`
+    /// credits on the entries those `Sat`s resolved to. Leaves `zset` empty.
+    fn apply_zset(&mut self, zset: &mut ZSet, side: Side, net_change: &mut FxHashMap<usize, i64>) {
+        let words = self.num_predicates.div_ceil(64);
+        let mut entries = Vec::with_capacity(zset.counts.len());
+        for (sat, &count) in zset.sats.chunks_exact(words).zip(&zset.counts) {
+            let set = FixedBitSet::from_words(self.num_predicates, sat);
+            let (entry, net) = match side {
+                Side::Retract => (self.acc.retract_many(&set, count), -(count as i64)),
+                Side::Record => (self.acc.add_many(set, count), count as i64),
+            };
+            *net_change.entry(entry).or_insert(0) += net;
+            entries.push(entry);
+        }
+        if let Some(v) = self.vios.as_mut() {
+            v.ensure_entries(self.acc.current().distinct_count());
+            for &(class, t, t_prime) in &zset.pairs {
+                let entry = entries[class as usize];
+                match side {
+                    Side::Retract => v.retract_pair(entry, t, t_prime),
+                    Side::Record => v.record_pair(entry, t, t_prime),
+                }
+            }
+        }
+        zset.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::fill_pair;
     use crate::builder::tests::{random_relation, small_relation};
     use crate::{ClusterEvidenceBuilder, EvidenceBuilder};
     use adc_data::fx::FxHashMap;
+    use adc_data::{AttributeType, Schema};
     use adc_predicates::SpaceConfig;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Multiset view of an evidence set (entry order is the one thing delta
     /// maintenance does not preserve).
@@ -603,5 +944,291 @@ mod tests {
             as_multiset(builder.evidence_set()),
             as_multiset(&rebuilt.evidence_set)
         );
+    }
+
+    /// The per-pair delta scan `apply` replaced, kept as its reference:
+    /// fresh `column_codes` per side, then one `fill_pair`, one accumulator
+    /// `add`/`retract`, one `net_change` update and one `Vios` credit per
+    /// pair, in scan order.
+    struct PerPair {
+        relation: Relation,
+        acc: EvidenceAccumulator,
+        vios: Option<Vios>,
+        groups: Vec<GroupMasks>,
+        num_predicates: usize,
+    }
+
+    impl PerPair {
+        fn new(relation: &Relation, space: &PredicateSpace, track_vios: bool) -> Self {
+            let Evidence { evidence_set, vios } =
+                ClusterEvidenceBuilder.build(relation, space, track_vios);
+            PerPair {
+                relation: relation.clone(),
+                acc: EvidenceAccumulator::from_set(evidence_set),
+                vios,
+                groups: group_masks(space),
+                num_predicates: space.len(),
+            }
+        }
+
+        fn pair(
+            &mut self,
+            codes: &[ColumnCodes],
+            (t, t_prime): (usize, usize),
+            side: Side,
+            net_change: &mut FxHashMap<usize, i64>,
+        ) {
+            let mut buffer = vec![0u64; self.num_predicates.div_ceil(64)];
+            fill_pair(codes, &self.groups, t, t_prime, &mut buffer);
+            let set = FixedBitSet::from_words(self.num_predicates, &buffer);
+            let (entry, net) = match side {
+                Side::Retract => (self.acc.retract(&set), -1),
+                Side::Record => (self.acc.add(set), 1),
+            };
+            *net_change.entry(entry).or_insert(0) += net;
+            if let Some(v) = self.vios.as_mut() {
+                v.ensure_entries(entry + 1);
+                match side {
+                    Side::Retract => v.retract_pair(entry, t as u32, t_prime as u32),
+                    Side::Record => v.record_pair(entry, t as u32, t_prime as u32),
+                }
+            }
+        }
+
+        fn apply(&mut self, deletes: &[usize], inserts: Vec<Vec<Value>>) -> EvidenceDelta {
+            let n_old = self.relation.len();
+            let mut deletes = deletes.to_vec();
+            deletes.sort_unstable();
+            deletes.dedup();
+            let entries_before = self.acc.current().distinct_count();
+            let mut net_change = FxHashMap::default();
+            let mut pairs_scanned = 0u64;
+            let mut deleted = vec![false; n_old];
+            for &d in &deletes {
+                deleted[d] = true;
+            }
+            if !deletes.is_empty() && self.num_predicates > 0 {
+                let codes = column_codes(&self.relation);
+                for &d in &deletes {
+                    for other in (0..n_old).filter(|&o| o != d) {
+                        self.pair(&codes, (d, other), Side::Retract, &mut net_change);
+                        pairs_scanned += 1;
+                        if !deleted[other] {
+                            self.pair(&codes, (other, d), Side::Retract, &mut net_change);
+                            pairs_scanned += 1;
+                        }
+                    }
+                }
+            }
+            if !deletes.is_empty() {
+                let kept: Vec<usize> = (0..n_old).filter(|&r| !deleted[r]).collect();
+                let mut old_to_new = vec![None; n_old];
+                for (new, &old) in kept.iter().enumerate() {
+                    old_to_new[old] = Some(new as u32);
+                }
+                self.relation = self.relation.project_rows(&kept);
+                if let Some(v) = self.vios.as_mut() {
+                    v.renumber_tuples(&old_to_new, kept.len());
+                }
+            }
+            let n_mid = self.relation.len();
+            self.relation.append_rows(inserts).unwrap();
+            let n_new = self.relation.len();
+            if n_new > n_mid && self.num_predicates > 0 {
+                let codes = column_codes(&self.relation);
+                for i in n_mid..n_new {
+                    for j in 0..i {
+                        self.pair(&codes, (i, j), Side::Record, &mut net_change);
+                        self.pair(&codes, (j, i), Side::Record, &mut net_change);
+                        pairs_scanned += 2;
+                    }
+                }
+            }
+            let removed: Vec<FixedBitSet> = self
+                .acc
+                .current()
+                .entries()
+                .iter()
+                .filter(|e| e.count == 0)
+                .map(|e| e.set.clone())
+                .collect();
+            let remap = self.acc.compact();
+            self.acc.set_num_tuples(n_new);
+            if let Some(v) = self.vios.as_mut() {
+                v.ensure_entries(remap.len());
+                v.remap_entries(&remap);
+                v.set_num_tuples(n_new);
+            }
+            let mut touched: Vec<(usize, i64)> = net_change.into_iter().collect();
+            touched.sort_unstable_by_key(|&(idx, _)| idx);
+            let mut added = Vec::new();
+            let mut count_changed = Vec::new();
+            for (old_idx, net) in touched {
+                if let Some(new_idx) = remap[old_idx] {
+                    if old_idx >= entries_before {
+                        added.push(new_idx);
+                    } else if net != 0 {
+                        count_changed.push(new_idx);
+                    }
+                }
+            }
+            EvidenceDelta {
+                added,
+                removed,
+                count_changed,
+                remap,
+                pairs_scanned,
+            }
+        }
+    }
+
+    /// One random cell: nulls everywhere, NaN and ±0.0 in float columns, and
+    /// small domains shared across columns (so cross-column and Int/Float
+    /// cross-type groups are generated and `Sat`s collide).
+    fn edge_value(ty: AttributeType, rng: &mut StdRng) -> Value {
+        if rng.gen_bool(0.15) {
+            return Value::Null;
+        }
+        match ty {
+            AttributeType::Text => ["a", "b", "c", "d"][rng.gen_range(0..4)].into(),
+            AttributeType::Integer => Value::Int(rng.gen_range(-1..3)),
+            AttributeType::Float => match rng.gen_range(0..6) {
+                0 => Value::Float(f64::NAN),
+                1 => Value::Float(-0.0),
+                2 => Value::Float(0.0),
+                3 => Value::Float(0.5),
+                _ => Value::Int(rng.gen_range(-1..3)),
+            },
+        }
+    }
+
+    fn edge_row(schema: &Schema, rng: &mut StdRng) -> Vec<Value> {
+        (0..schema.arity())
+            .map(|c| edge_value(schema.attribute(c).ty(), rng))
+            .collect()
+    }
+
+    /// `maintained` equals `fresh` cell for cell: numeric codes bit for bit
+    /// (NaN and −0.0 included), text codes up to one renumbering shared by
+    /// every text column.
+    fn assert_codes_match(maintained: &[ColumnCodes], fresh: &[ColumnCodes]) {
+        assert_eq!(maintained.len(), fresh.len());
+        let mut to_fresh: FxHashMap<u32, u32> = FxHashMap::default();
+        let mut to_maintained: FxHashMap<u32, u32> = FxHashMap::default();
+        for (m, f) in maintained.iter().zip(fresh) {
+            match (m, f) {
+                (ColumnCodes::Numeric(m), ColumnCodes::Numeric(f)) => {
+                    let bits = |v: &[Option<f64>]| -> Vec<Option<u64>> {
+                        v.iter().map(|x| x.map(f64::to_bits)).collect()
+                    };
+                    assert_eq!(bits(m), bits(f));
+                }
+                (ColumnCodes::Text(m), ColumnCodes::Text(f)) => {
+                    assert_eq!(m.len(), f.len());
+                    for (&a, &b) in m.iter().zip(f) {
+                        match (a, b) {
+                            (Some(a), Some(b)) => {
+                                assert_eq!(*to_fresh.entry(a).or_insert(b), b);
+                                assert_eq!(*to_maintained.entry(b).or_insert(a), a);
+                            }
+                            (a, b) => assert_eq!(a.is_none(), b.is_none()),
+                        }
+                    }
+                }
+                _ => panic!("maintained codes changed kind"),
+            }
+        }
+    }
+
+    proptest! {
+        /// The consolidated `apply` is the per-pair scan it replaced: same
+        /// evidence set (entry order included), same `Vios`, same delta, on
+        /// random relations with nulls, NaN, −0.0, cross-column and
+        /// cross-type groups, one- and multi-word `Sat`s, and batch
+        /// sequences with empty batches, duplicate delete indexes, deletes
+        /// of every row and inserts into an empty relation.
+        #[test]
+        fn apply_matches_the_per_pair_reference(
+            seed in any::<u64>(),
+            rows in 0usize..9,
+            wide in any::<bool>(),
+            track_vios in any::<bool>(),
+            batches in 1usize..6,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut columns = vec![
+                ("S", AttributeType::Text),
+                ("T", AttributeType::Text),
+                ("I", AttributeType::Integer),
+                ("F", AttributeType::Float),
+            ];
+            if wide {
+                columns.extend([("J", AttributeType::Integer), ("G", AttributeType::Float)]);
+            }
+            let schema = Schema::of(&columns);
+            let mut b = Relation::builder(schema.clone());
+            for _ in 0..rows {
+                b.push_row(edge_row(&schema, &mut rng)).unwrap();
+            }
+            let relation = b.build();
+            let space = PredicateSpace::build(&relation, SpaceConfig::default());
+            let mut builder = DeltaEvidenceBuilder::new(&relation, &space, track_vios);
+            let mut reference = PerPair::new(&relation, &space, track_vios);
+            for _ in 0..batches {
+                let n = builder.relation().len();
+                let deletes: Vec<usize> = if n > 0 && rng.gen_bool(0.2) {
+                    (0..n).rev().collect()
+                } else if n > 0 {
+                    (0..rng.gen_range(0..4)).map(|_| rng.gen_range(0..n)).collect()
+                } else {
+                    Vec::new()
+                };
+                let inserts: Vec<Vec<Value>> = (0..rng.gen_range(0..4))
+                    .map(|_| edge_row(&schema, &mut rng))
+                    .collect();
+                let delta = builder.apply(&deletes, inserts.clone()).unwrap();
+                let expected = reference.apply(&deletes, inserts);
+                prop_assert_eq!(&delta, &expected);
+                prop_assert_eq!(builder.evidence_set(), reference.acc.current());
+                prop_assert_eq!(builder.vios(), reference.vios.as_ref());
+                assert_codes_match(&builder.codes, &column_codes(builder.relation()));
+            }
+        }
+    }
+
+    #[test]
+    fn vios_batches_past_the_flush_size_match_the_per_pair_reference() {
+        // 200 of 300 rows out: ~80 000 retracted pairs, so the `Vios` path
+        // applies its consolidated `Sat`s in more than one chunk.
+        let r = random_relation(300, 21);
+        let space = PredicateSpace::build(&r, SpaceConfig::default());
+        let mut builder = DeltaEvidenceBuilder::new(&r, &space, true);
+        let mut reference = PerPair::new(&r, &space, true);
+        let deletes: Vec<usize> = (0..300).filter(|i| i % 3 != 0).collect();
+        let inserts: Vec<Vec<Value>> = (0..5).map(|i| r.row(i)).collect();
+        let delta = builder.apply(&deletes, inserts.clone()).unwrap();
+        assert!(delta.pairs_scanned > VIOS_FLUSH_PAIRS as u64);
+        assert_eq!(delta, reference.apply(&deletes, inserts));
+        assert_eq!(builder.evidence_set(), reference.acc.current());
+        assert_eq!(builder.vios(), reference.vios.as_ref());
+    }
+
+    #[test]
+    fn the_reference_relations_reach_multi_word_sats() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let schema = Schema::of(&[
+            ("S", AttributeType::Text),
+            ("T", AttributeType::Text),
+            ("I", AttributeType::Integer),
+            ("F", AttributeType::Float),
+            ("J", AttributeType::Integer),
+            ("G", AttributeType::Float),
+        ]);
+        let mut b = Relation::builder(schema.clone());
+        for _ in 0..8 {
+            b.push_row(edge_row(&schema, &mut rng)).unwrap();
+        }
+        let space = PredicateSpace::build(&b.build(), SpaceConfig::default());
+        assert!(space.len() > 64, "{} predicates", space.len());
     }
 }

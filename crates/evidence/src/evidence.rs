@@ -234,6 +234,20 @@ impl EvidenceAccumulator {
     /// Panics if no pair with this evidence set is currently recorded — that
     /// means the caller's delta bookkeeping has diverged from the batch state.
     pub fn retract(&mut self, satisfied: &FixedBitSet) -> usize {
+        self.retract_many(satisfied, 1)
+    }
+
+    /// Retract `count` previously recorded pairs sharing the same
+    /// satisfied-predicate set in one step: the `−count` row of a
+    /// consolidated Z-set batch. Equivalent to `count` calls of
+    /// [`EvidenceAccumulator::retract`], and panics in exactly the cases
+    /// those calls would.
+    ///
+    /// # Panics
+    /// Panics if no pair with this evidence set is currently recorded, or if
+    /// the entry holds fewer than `count` pairs (its count would go below
+    /// zero).
+    pub fn retract_many(&mut self, satisfied: &FixedBitSet, count: u64) -> usize {
         let idx = *self
             .index
             .get(satisfied)
@@ -241,11 +255,12 @@ impl EvidenceAccumulator {
             .expect("retracting a pair whose evidence set was never recorded");
         let entry = &mut self.set.entries[idx];
         assert!(
-            entry.count > 0,
-            "retracting a pair from an evidence entry whose count is already zero"
+            entry.count >= count,
+            "retracting {count} pair(s) from an evidence entry holding {}: its count is already zero before the last",
+            entry.count
         );
-        entry.count -= 1;
-        self.set.total_pairs -= 1;
+        entry.count -= count;
+        self.set.total_pairs -= count;
         idx
     }
 
@@ -463,6 +478,39 @@ mod tests {
         acc.add(bs(4, &[0]));
         acc.retract(&bs(4, &[0]));
         acc.retract(&bs(4, &[0]));
+    }
+
+    #[test]
+    fn retract_many_equals_repeated_retract() {
+        let mut one = EvidenceAccumulator::new(4, 5);
+        one.add_many(bs(4, &[0]), 4);
+        one.add_many(bs(4, &[1]), 2);
+        let mut many = one.clone();
+        for _ in 0..3 {
+            one.retract(&bs(4, &[0]));
+        }
+        assert_eq!(many.retract_many(&bs(4, &[0]), 3), 0);
+        assert_eq!(many.retract_many(&bs(4, &[1]), 2), 1);
+        one.retract(&bs(4, &[1]));
+        one.retract(&bs(4, &[1]));
+        assert_eq!(one.current(), many.current());
+        assert_eq!(many.current().entry(1).count, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "already zero")]
+    fn retract_many_below_zero_panics() {
+        let mut acc = EvidenceAccumulator::new(4, 2);
+        acc.add_many(bs(4, &[0]), 2);
+        acc.retract_many(&bs(4, &[0]), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "never recorded")]
+    fn retract_many_of_unknown_evidence_panics() {
+        let mut acc = EvidenceAccumulator::new(4, 2);
+        acc.add(bs(4, &[0]));
+        acc.retract_many(&bs(4, &[3]), 1);
     }
 
     #[test]
