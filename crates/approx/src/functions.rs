@@ -2,7 +2,8 @@
 
 use crate::normal;
 use adc_data::FixedBitSet;
-use adc_evidence::{EvidenceSet, Vios};
+use adc_evidence::{EvidenceSet, ParticipantRows, Vios};
+use std::cell::OnceCell;
 
 /// Everything an approximation function may consult: the interned evidence
 /// set and (for tuple-level measures) the `vios` participation index.
@@ -11,12 +12,17 @@ use adc_evidence::{EvidenceSet, Vios};
 /// all three functions are computable from `Evi(D)` plus `vios`, which is
 /// what makes them cheap enough to evaluate `|S| + 2` times per enumeration
 /// step.
-#[derive(Clone, Copy)]
+///
+/// `f2` scores from the index's [`ParticipantRows`], which the context
+/// derives from `vios` on the first `f2` score and keeps for every later one;
+/// contexts that never score `f2` never build it.
+#[derive(Clone)]
 pub struct ApproxContext<'a> {
     /// The evidence multiset of the (sampled) database.
     pub evidence: &'a EvidenceSet,
     /// Per-entry per-tuple participation counts; required by `f2` and `f3`.
     pub vios: Option<&'a Vios>,
+    participants: OnceCell<ParticipantRows>,
 }
 
 impl<'a> ApproxContext<'a> {
@@ -25,6 +31,7 @@ impl<'a> ApproxContext<'a> {
         ApproxContext {
             evidence,
             vios: None,
+            participants: OnceCell::new(),
         }
     }
 
@@ -33,6 +40,7 @@ impl<'a> ApproxContext<'a> {
         ApproxContext {
             evidence,
             vios: Some(vios),
+            participants: OnceCell::new(),
         }
     }
 
@@ -40,6 +48,12 @@ impl<'a> ApproxContext<'a> {
         self.vios
             // conformance: allow(panic) — documented precondition of f2/f3; the miner front-end re-checks it with an explanatory error before enumeration
             .expect("this approximation function requires the vios index; build evidence with track_vios = true")
+    }
+
+    /// The participant rows of the `vios` index, built on first use.
+    fn participants(&self) -> &ParticipantRows {
+        self.participants
+            .get_or_init(|| self.vios().participant_rows())
     }
 }
 
@@ -102,8 +116,8 @@ impl ApproximationFunction for F2ProblematicTuples {
         if n == 0 {
             return 1.0;
         }
-        let uncovered = ctx.evidence.uncovered_indexes(complement_set);
-        let problematic = ctx.vios().distinct_tuples(&uncovered);
+        let uncovered = ctx.evidence.uncovered(complement_set);
+        let problematic = ctx.participants().distinct_tuples(uncovered);
         (n - problematic) as f64 / n as f64
     }
 }
@@ -126,7 +140,7 @@ impl F3GreedyRepair {
         complement_set: &FixedBitSet,
     ) -> usize {
         let evidence = ctx.evidence;
-        let uncovered = evidence.uncovered_indexes(complement_set);
+        let uncovered: Vec<usize> = evidence.uncovered(complement_set).collect();
         // u = total number of violating pairs (bag semantics).
         let u: u64 = uncovered.iter().map(|&i| evidence.entry(i).count).sum();
         if u == 0 {
@@ -355,6 +369,58 @@ mod tests {
         // ϕ₂ violations involve t15 and each of t6..t13: 9 problematic tuples.
         let cset2 = phi2(&fx.space).complement_set(&fx.space);
         assert!((f2.exception_rate(&ctx, &cset2) - 9.0 / 15.0).abs() < 1e-12);
+    }
+
+    /// f2 over participant rows equals the replaced hash-set count bit for
+    /// bit, on relations on both sides of the 64-tuple word boundary and for
+    /// random complement sets of every size.
+    #[test]
+    fn f2_matches_the_hash_set_count() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(19);
+        for rows in [0usize, 1, 2, 15, 63, 64, 65, 130] {
+            let schema = Schema::of(&[
+                ("A", AttributeType::Text),
+                ("B", AttributeType::Integer),
+                ("C", AttributeType::Integer),
+            ]);
+            let mut b = Relation::builder(schema);
+            for _ in 0..rows {
+                b.push_row(vec![
+                    Value::from(["x", "y", "z"][rng.gen_range(0..3)]),
+                    Value::Int(rng.gen_range(0..8)),
+                    Value::Int(rng.gen_range(0..8)),
+                ])
+                .unwrap();
+            }
+            let r = b.build();
+            let space = PredicateSpace::build(&r, SpaceConfig::default());
+            let ev = ClusterEvidenceBuilder.build(&r, &space, true);
+            let ctx = ApproxContext::with_vios(&ev.evidence_set, ev.vios());
+            let n = ev.evidence_set.num_tuples();
+            for _ in 0..200 {
+                let keep = rng.gen_range(0.0..0.3);
+                let set = FixedBitSet::from_indices(
+                    space.len(),
+                    (0..space.len()).filter(|_| rng.gen_bool(keep)),
+                );
+                let mut tuples = adc_data::fx::FxHashSet::default();
+                for e in ev.evidence_set.uncovered(&set) {
+                    tuples.extend(ev.vios().entry_tuples(e).map(|(t, _)| t));
+                }
+                let expected = if n == 0 {
+                    1.0
+                } else {
+                    (n - tuples.len()) as f64 / n as f64
+                };
+                assert_eq!(
+                    F2ProblematicTuples.score(&ctx, &set).to_bits(),
+                    expected.to_bits(),
+                    "{rows} rows"
+                );
+            }
+        }
     }
 
     #[test]

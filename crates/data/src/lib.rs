@@ -64,5 +64,5 @@ pub use column::Column;
 pub use error::DataError;
 pub use relation::{Relation, RelationBuilder};
 pub use schema::{Attribute, AttributeType, Schema};
-pub use stats::{value_key, ValueKey};
+pub use stats::{value_key, SharedPair, SharedValues, ValueKey};
 pub use value::Value;

@@ -1,8 +1,18 @@
 //! Per-column and cross-column statistics used by the predicate-space
 //! generator (notably the ≥30 % shared-values rule).
+//!
+//! [`SharedValues::of`] is the one implementation of that rule's statistic.
+//! It computes each column's distinct non-null keys once — numeric columns
+//! as a sorted, deduplicated list of `f64` bit patterns (integers widen
+//! first), text columns as the sorted ids of the strings their rows use,
+//! under one string → id interning shared by every text column of the
+//! relation — and intersects each unordered comparable column pair once, by
+//! merge. Text keys come from the row codes, never from the dictionary: a
+//! dictionary may hold strings no row uses ([`Column::project`] clones the
+//! whole dictionary and appends never shrink it).
 
 use crate::column::Column;
-use crate::fx::FxHashSet;
+use crate::fx::FxHashMap;
 use crate::relation::Relation;
 use crate::value::Value;
 
@@ -10,10 +20,11 @@ use crate::value::Value;
 /// values are compared by their `f64` bit pattern after widening, text
 /// values by dictionary string.
 ///
-/// This is the exact equality [`shared_value_fraction`] uses, exposed so
+/// This is the equality [`SharedValues`] counts with, exposed so
 /// incremental trackers (the predicate-space drift detector) can maintain
-/// the same distinct-value sets under row churn and reproduce the batch
-/// fractions bit-for-bit.
+/// the same distinct-value sets under row churn: `−0.0 ≠ 0.0`, each NaN
+/// payload is its own value, integers equal the floats they widen to, and
+/// nulls have no key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ValueKey {
     /// Numeric value, widened to `f64` and keyed by bit pattern.
@@ -33,47 +44,175 @@ pub fn value_key(value: &Value) -> Option<ValueKey> {
     }
 }
 
-fn distinct_keys(col: &Column) -> FxHashSet<ValueKey> {
-    let mut out = FxHashSet::default();
+/// The shared-values fraction of two columns with `distinct_a` and
+/// `distinct_b` distinct non-null values, `common` of which they share:
+/// `common / min(distinct_a, distinct_b)`, and 0.0 when either side has no
+/// non-null value. Every producer of the fraction goes through this
+/// function, so equal counts give bit-identical fractions.
+pub fn shared_fraction(common: usize, distinct_a: usize, distinct_b: usize) -> f64 {
+    if distinct_a == 0 || distinct_b == 0 {
+        return 0.0;
+    }
+    common as f64 / distinct_a.min(distinct_b) as f64
+}
+
+/// The [`ValueKey::Num`] bit pattern of every non-null cell of a numeric
+/// column, in row order (integers widen to `f64` first); empty for a text
+/// column.
+pub fn numeric_keys(col: &Column) -> Vec<u64> {
     match col {
-        Column::Int(v) => {
-            for x in v.iter().flatten() {
-                out.insert(ValueKey::Num((*x as f64).to_bits()));
-            }
-        }
-        Column::Float(v) => {
-            for x in v.iter().flatten() {
-                out.insert(ValueKey::Num(x.to_bits()));
-            }
-        }
-        Column::Text { codes, dict } => {
-            for c in codes.iter().flatten() {
-                out.insert(ValueKey::Text(dict[*c as usize].clone()));
+        Column::Int(v) => v.iter().flatten().map(|&x| (x as f64).to_bits()).collect(),
+        Column::Float(v) => v.iter().flatten().map(|x| x.to_bits()).collect(),
+        Column::Text { .. } => Vec::new(),
+    }
+}
+
+/// The sorted, deduplicated distinct keys of each column, numeric keys as
+/// `f64` bit patterns and text keys as ids under one interning of the
+/// strings the columns' rows use. Keys of a numeric and a text column are
+/// never compared with each other.
+fn column_keys<'a>(columns: impl IntoIterator<Item = &'a Column>) -> Vec<Vec<u64>> {
+    let mut interned: FxHashMap<&'a str, u64> = FxHashMap::default();
+    let mut used: Vec<bool> = Vec::new();
+    columns
+        .into_iter()
+        .map(|col| {
+            let mut keys: Vec<u64> = match col {
+                Column::Int(_) | Column::Float(_) => numeric_keys(col),
+                Column::Text { codes, dict } => {
+                    used.clear();
+                    used.resize(dict.len(), false);
+                    for &c in codes.iter().flatten() {
+                        used[c as usize] = true;
+                    }
+                    dict.iter()
+                        .zip(&used)
+                        .filter(|&(_, &u)| u)
+                        .map(|(s, _)| {
+                            let next = interned.len() as u64;
+                            *interned.entry(s.as_str()).or_insert(next)
+                        })
+                        .collect()
+                }
+            };
+            keys.sort_unstable();
+            keys.dedup();
+            keys
+        })
+        .collect()
+}
+
+/// Number of keys two sorted, deduplicated key lists share.
+fn common_keys(a: &[u64], b: &[u64]) -> usize {
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
             }
         }
     }
-    out
+    common
+}
+
+/// One comparable column pair and the distinct values its columns share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SharedPair {
+    /// Left column index (always `< right`; the statistic is symmetric).
+    pub left: usize,
+    /// Right column index.
+    pub right: usize,
+    /// Number of distinct non-null values present in both columns.
+    pub common: usize,
+}
+
+/// The shared-values statistic of every comparable column pair of one
+/// relation, computed in one pass (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SharedValues {
+    /// Per column, the number of distinct non-null values.
+    distinct: Vec<usize>,
+    /// Comparable pairs `left < right` in ascending `(left, right)` order.
+    pairs: Vec<SharedPair>,
+}
+
+impl SharedValues {
+    /// Compute the statistic for every comparable column pair of `relation`.
+    pub fn of(relation: &Relation) -> Self {
+        let keys = column_keys(relation.columns());
+        let schema = relation.schema();
+        let mut pairs = Vec::new();
+        for a in 0..keys.len() {
+            for b in (a + 1)..keys.len() {
+                if schema
+                    .attribute(a)
+                    .ty()
+                    .comparable_with(schema.attribute(b).ty())
+                {
+                    pairs.push(SharedPair {
+                        left: a,
+                        right: b,
+                        common: common_keys(&keys[a], &keys[b]),
+                    });
+                }
+            }
+        }
+        SharedValues {
+            distinct: keys.iter().map(Vec::len).collect(),
+            pairs,
+        }
+    }
+
+    /// Number of distinct non-null values of column `col`.
+    pub fn distinct(&self, col: usize) -> usize {
+        self.distinct[col]
+    }
+
+    /// Every comparable pair `left < right`, in ascending `(left, right)`
+    /// order.
+    pub fn pairs(&self) -> &[SharedPair] {
+        &self.pairs
+    }
+
+    /// The shared-values fraction of `pair`.
+    pub fn pair_fraction(&self, pair: &SharedPair) -> f64 {
+        shared_fraction(
+            pair.common,
+            self.distinct[pair.left],
+            self.distinct[pair.right],
+        )
+    }
+
+    /// The shared-values fraction of two different columns `a` and `b`, in
+    /// either order; 0.0 when they are incomparable.
+    pub fn fraction(&self, a: usize, b: usize) -> f64 {
+        debug_assert_ne!(a, b, "a column's fraction with itself is not tracked");
+        let key = (a.min(b), a.max(b));
+        self.pairs
+            .binary_search_by(|p| (p.left, p.right).cmp(&key))
+            .map_or(0.0, |i| self.pair_fraction(&self.pairs[i]))
+    }
 }
 
 /// Fraction of shared distinct values between two columns, relative to the
 /// smaller distinct set. Returns 0.0 when either column has no non-null
 /// values or the column types are not comparable (numeric vs text).
+///
+/// The one-pair form of [`SharedValues`], over the same keys and merge.
 pub fn shared_value_fraction(a: &Column, b: &Column) -> f64 {
     if !a.ty().comparable_with(b.ty()) {
         return 0.0;
     }
-    let ka = distinct_keys(a);
-    let kb = distinct_keys(b);
-    if ka.is_empty() || kb.is_empty() {
-        return 0.0;
-    }
-    let (small, large) = if ka.len() <= kb.len() {
-        (&ka, &kb)
-    } else {
-        (&kb, &ka)
-    };
-    let common = small.iter().filter(|k| large.contains(*k)).count();
-    common as f64 / small.len() as f64
+    let keys = column_keys([a, b]);
+    shared_fraction(
+        common_keys(&keys[0], &keys[1]),
+        keys[0].len(),
+        keys[1].len(),
+    )
 }
 
 /// Summary statistics for one column.
@@ -121,8 +260,17 @@ pub fn column_stats(relation: &Relation) -> Vec<ColumnStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fx::FxHashSet;
     use crate::schema::{AttributeType, Schema};
     use crate::value::Value;
+
+    /// The per-column hash-set form of the distinct keys, kept as a
+    /// reference for the one-pass keys.
+    fn distinct_keys(col: &Column) -> FxHashSet<ValueKey> {
+        (0..col.len())
+            .filter_map(|row| value_key(&col.value(row)))
+            .collect()
+    }
 
     fn rel() -> Relation {
         let schema = Schema::of(&[
@@ -196,15 +344,32 @@ mod tests {
         // Per-cell keys reproduce exactly the per-column distinct sets that
         // shared_value_fraction is computed from.
         let r = rel();
-        for col in 0..4 {
-            let batch = distinct_keys(r.column(col));
-            let mut incremental = FxHashSet::default();
-            for row in 0..r.len() {
-                if let Some(k) = value_key(&r.value(row, col)) {
-                    incremental.insert(k);
+        let keys = column_keys(r.columns());
+        let shared = SharedValues::of(&r);
+        for (col, keys) in keys.iter().enumerate() {
+            let reference = distinct_keys(r.column(col));
+            assert_eq!(keys.len(), reference.len(), "column {col}");
+            assert_eq!(shared.distinct(col), reference.len(), "column {col}");
+        }
+    }
+
+    #[test]
+    fn shared_values_cover_each_comparable_pair_once() {
+        let r = rel();
+        let shared = SharedValues::of(&r);
+        // Zip, AltZip and Income are numeric; State is the only text column.
+        let pairs: Vec<(usize, usize)> = shared.pairs().iter().map(|p| (p.left, p.right)).collect();
+        assert_eq!(pairs, vec![(0, 1), (0, 3), (1, 3)]);
+        for a in 0..4 {
+            for b in 0..4 {
+                if a != b {
+                    assert_eq!(
+                        shared.fraction(a, b).to_bits(),
+                        r.shared_value_fraction(a, b).to_bits(),
+                        "({a}, {b})"
+                    );
                 }
             }
-            assert_eq!(batch, incremental, "column {col}");
         }
     }
 

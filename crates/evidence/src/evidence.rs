@@ -99,14 +99,16 @@ impl EvidenceSet {
     }
 
     /// Indexes of the entries disjoint from `hitting_set` (the "uncovered"
-    /// evidence sets, i.e. the violating pair classes).
-    pub fn uncovered_indexes(&self, hitting_set: &FixedBitSet) -> Vec<usize> {
+    /// evidence sets, i.e. the violating pair classes), ascending.
+    pub fn uncovered<'a>(
+        &'a self,
+        hitting_set: &'a FixedBitSet,
+    ) -> impl Iterator<Item = usize> + 'a {
         self.entries
             .iter()
             .enumerate()
-            .filter(|(_, e)| !e.set.intersects(hitting_set))
+            .filter(move |(_, e)| !e.set.intersects(hitting_set))
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// `true` if `hitting_set` intersects every evidence set (the
@@ -540,7 +542,7 @@ mod tests {
         assert_eq!(e.violation_count(&h), 5);
         assert_eq!(e.satisfaction_count(&h), 7);
         assert!((e.violation_fraction(&h) - 5.0 / 12.0).abs() < 1e-12);
-        assert_eq!(e.uncovered_indexes(&h), vec![2]);
+        assert_eq!(e.uncovered(&h).collect::<Vec<_>>(), vec![2]);
         assert!(!e.is_hitting_set(&h));
 
         // Hitting set {2,1,4} hits everything.
@@ -551,7 +553,7 @@ mod tests {
         // Empty hitting set misses everything.
         let h3 = bs(6, &[]);
         assert_eq!(e.violation_count(&h3), 12);
-        assert_eq!(e.uncovered_indexes(&h3).len(), 3);
+        assert_eq!(e.uncovered(&h3).count(), 3);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use evidence::{EvidenceEntry, EvidenceSet};
 pub use sweep::{SweepEvidenceBuilder, SweepStats};
 // conformance: allow(concurrency) — re-export of the adc_sync audit seam; no primitive is used here
 pub use sync::{AtomicChunkSource, ChunkSource, Schedule, ScriptedChunkSource};
-pub use vios::Vios;
+pub use vios::{ParticipantRows, Vios};
 
 use adc_data::Relation;
 use adc_predicates::PredicateSpace;

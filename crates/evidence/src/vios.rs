@@ -3,7 +3,10 @@
 //! The greedy replacement for the `f3` approximation function (Figure 2 of
 //! the paper) needs, for every distinct evidence set `S` and tuple `t`, the
 //! number of ordered pairs with `Sat(t₁,t₂) = S` in which `t` participates.
-//! The `f2` function needs the set of tuples participating in each entry.
+//! The `f2` function needs the set of tuples participating in each entry;
+//! it reads them from [`ParticipantRows`], a dense bit matrix derived once
+//! from the index (one row of `⌈n/64⌉` words per entry), so a score is an
+//! OR of the uncovered entries' rows and a popcount.
 //! Storing per-(entry, tuple) counts costs `O(distinct · tuples)` in the
 //! worst case but is tiny in practice because the number of distinct
 //! evidence sets is orders of magnitude smaller than the number of pairs
@@ -230,16 +233,60 @@ impl Vios {
         counts
     }
 
-    /// Number of distinct tuples participating in at least one pair of the
-    /// given entries (used by the `f2` approximation function).
-    pub fn distinct_tuples(&self, entries: &[usize]) -> usize {
-        use adc_data::fx::FxHashSet;
-        let mut tuples: FxHashSet<u32> = FxHashSet::default();
-        for &e in entries {
-            // conformance: allow(unordered) — order collapses into a set cardinality; only the count escapes
-            tuples.extend(self.per_entry[e].keys().copied());
+    /// The dense participant matrix of this index: one row of `⌈n/64⌉`
+    /// words per entry, bit `t` of row `e` set iff tuple `t` participates in
+    /// a pair of entry `e` (`n` covers every tracked tuple id).
+    pub fn participant_rows(&self) -> ParticipantRows {
+        // conformance: allow(unordered) — a max over the keys; the order cannot escape
+        let max_id = self.per_entry.iter().flat_map(|m| m.keys()).max();
+        let bits = max_id.map_or(self.num_tuples, |&t| self.num_tuples.max(t as usize + 1));
+        let words_per_row = bits.div_ceil(64);
+        let mut words = vec![0u64; words_per_row * self.per_entry.len()];
+        for (e, counts) in self.per_entry.iter().enumerate() {
+            let row = &mut words[e * words_per_row..(e + 1) * words_per_row];
+            // conformance: allow(unordered) — sets bits; the result is order-independent
+            for &t in counts.keys() {
+                row[t as usize / 64] |= 1 << (t % 64);
+            }
         }
-        tuples.len()
+        ParticipantRows {
+            words_per_row,
+            words,
+        }
+    }
+}
+
+/// Which tuples each evidence entry's pairs touch, as one flat bit matrix
+/// (see [`Vios::participant_rows`]). The `f2` approximation function ORs
+/// the rows of a DC's uncovered entries and counts the bits: the number of
+/// problematic tuples, without hashing a single tuple id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParticipantRows {
+    words_per_row: usize,
+    /// Row `e` is `words[e * words_per_row..(e + 1) * words_per_row]`.
+    words: Vec<u64>,
+}
+
+impl ParticipantRows {
+    /// The participant bits of entry `entry`.
+    fn row(&self, entry: usize) -> &[u64] {
+        &self.words[entry * self.words_per_row..(entry + 1) * self.words_per_row]
+    }
+
+    /// Number of distinct tuples participating in at least one pair of the
+    /// given entries.
+    ///
+    /// # Panics
+    /// Panics if an entry lies beyond the index the rows came from (an
+    /// index over no tuples has empty rows and never panics).
+    pub fn distinct_tuples(&self, entries: impl IntoIterator<Item = usize>) -> usize {
+        let mut union = vec![0u64; self.words_per_row];
+        for e in entries {
+            for (u, w) in union.iter_mut().zip(self.row(e)) {
+                *u |= w;
+            }
+        }
+        union.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -358,10 +405,13 @@ mod tests {
         v.record_pair(0, 0, 1);
         v.record_pair(1, 1, 2);
         v.record_pair(2, 4, 5);
-        assert_eq!(v.distinct_tuples(&[0, 1]), 3);
-        assert_eq!(v.distinct_tuples(&[2]), 2);
-        assert_eq!(v.distinct_tuples(&[]), 0);
-        assert_eq!(v.distinct_tuples(&[0, 1, 2]), 5);
+        let rows = v.participant_rows();
+        assert_eq!(rows.words_per_row, 1);
+        assert_eq!(rows.row(0), &[0b11]);
+        assert_eq!(rows.distinct_tuples([0, 1]), 3);
+        assert_eq!(rows.distinct_tuples([2]), 2);
+        assert_eq!(rows.distinct_tuples([]), 0);
+        assert_eq!(rows.distinct_tuples([0, 1, 2]), 5);
     }
 
     #[test]
@@ -372,5 +422,108 @@ mod tests {
         let mut pairs: Vec<(u32, u32)> = v.entry_tuples(0).collect();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(0, 2), (1, 1), (2, 1)]);
+    }
+
+    /// The replaced hash-set count of the tuples the given entries touch.
+    fn reference_distinct_tuples(v: &Vios, entries: &[usize]) -> usize {
+        let mut tuples = adc_data::fx::FxHashSet::default();
+        for &e in entries {
+            tuples.extend(v.entry_tuples(e).map(|(t, _)| t));
+        }
+        tuples.len()
+    }
+
+    /// Every subset of up to 8 entries, or 64 random subsets beyond that.
+    fn entry_subsets(num_entries: usize, rng: &mut StdRng) -> Vec<Vec<usize>> {
+        if num_entries <= 8 {
+            (0u32..1 << num_entries)
+                .map(|mask| (0..num_entries).filter(|&e| mask >> e & 1 == 1).collect())
+                .collect()
+        } else {
+            (0..64)
+                .map(|_| (0..num_entries).filter(|_| rng.gen_bool(0.3)).collect())
+                .collect()
+        }
+    }
+
+    fn assert_rows_match_reference(v: &Vios, rng: &mut StdRng) {
+        let rows = v.participant_rows();
+        assert_eq!(rows.words_per_row, v.num_tuples().div_ceil(64));
+        for subset in entry_subsets(v.num_entries(), rng) {
+            assert_eq!(
+                rows.distinct_tuples(subset.iter().copied()),
+                reference_distinct_tuples(v, &subset),
+                "entries {subset:?} over {} tuples",
+                v.num_tuples()
+            );
+        }
+    }
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    proptest! {
+        /// The participant-bitset count equals the hash-set count on random
+        /// indexes — word-boundary tuple counts, entries without
+        /// participants — and after retractions, compaction and tuple
+        /// renumbering.
+        #[test]
+        fn participant_rows_match_the_hash_set_count(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for n in [0usize, 1, 63, 64, 65, 130] {
+                let entries = rng.gen_range(0..12);
+                let mut v = Vios::new(entries, n);
+                let mut recorded = Vec::new();
+                if n > 0 && entries > 0 {
+                    for _ in 0..rng.gen_range(0..3 * n) {
+                        // Entry 0 stays empty when there are spare entries.
+                        let e = rng.gen_range(usize::from(entries > 1)..entries);
+                        let (t, u) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                        v.record_pair(e, t, u);
+                        recorded.push((e, t, u));
+                    }
+                }
+                assert_rows_match_reference(&v, &mut rng);
+
+                // Retract a random half of the recorded pairs.
+                for &(e, t, u) in &recorded {
+                    if rng.gen_bool(0.5) {
+                        v.retract_pair(e, t, u);
+                    }
+                }
+                assert_rows_match_reference(&v, &mut rng);
+
+                // Compact away the entries that are now empty.
+                let mut next = 0;
+                let remap: Vec<Option<usize>> = (0..v.num_entries())
+                    .map(|e| {
+                        (v.entry_tuples(e).count() > 0 || rng.gen_bool(0.3)).then(|| {
+                            next += 1;
+                            next - 1
+                        })
+                    })
+                    .collect();
+                v.remap_entries(&remap);
+                assert_rows_match_reference(&v, &mut rng);
+
+                // Delete the tuples that no longer participate anywhere.
+                let live: Vec<bool> = (0..n as u32)
+                    .map(|t| (0..v.num_entries()).any(|e| v.count(e, t) > 0) || rng.gen_bool(0.5))
+                    .collect();
+                let mut kept = 0u32;
+                let old_to_new: Vec<Option<u32>> = live
+                    .iter()
+                    .map(|&l| {
+                        l.then(|| {
+                            kept += 1;
+                            kept - 1
+                        })
+                    })
+                    .collect();
+                v.renumber_tuples(&old_to_new, kept as usize);
+                assert_rows_match_reference(&v, &mut rng);
+            }
+        }
     }
 }

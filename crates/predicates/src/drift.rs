@@ -12,10 +12,15 @@
 //! [`SpaceDriftTracker`] maintains the per-column distinct-value
 //! multiplicities and per-pair common-value counts incrementally —
 //! `O(arity + pairs touched)` per row instead of a full recount — using the
-//! exact [`ValueKey`] normalisation of
-//! [`shared_value_fraction`](adc_data::stats::shared_value_fraction), so its
-//! fractions are bit-for-bit the ones `PredicateSpace::build` would compute
-//! on the current rows. [`SpaceDriftTracker::drift`] compares the current
+//! [`ValueKey`] normalisation of the shared-values statistic. It is seeded
+//! from the same [`SharedValues`] pass `PredicateSpace::build` reads its
+//! verdicts from (per-pair common counts and the baseline), with the
+//! multiplicities counted per dictionary code rather than per cell, and
+//! every fraction it reports goes through the one
+//! [`shared_fraction`](adc_data::stats::shared_fraction) formula. Its
+//! fractions are therefore bit-for-bit the ones `PredicateSpace::build`
+//! would compute on the current rows by construction: equal counts, one
+//! formula. [`SpaceDriftTracker::drift`] compares the current
 //! admission verdicts against the frozen baseline and reports every flipped
 //! column pair; the streaming monitor in `adc-core` surfaces that as a
 //! rebuild-required error instead of silently answering from the stale
@@ -25,7 +30,8 @@
 
 use crate::space::SpaceConfig;
 use adc_data::fx::FxHashMap;
-use adc_data::{value_key, Relation, Value, ValueKey};
+use adc_data::stats::{numeric_keys, shared_fraction};
+use adc_data::{value_key, Column, Relation, SharedValues, Value, ValueKey};
 use std::fmt;
 
 /// One column pair whose shared-values admission verdict flipped relative
@@ -104,49 +110,42 @@ pub struct SpaceDriftTracker {
 
 impl SpaceDriftTracker {
     /// Seed the tracker from the relation the predicate space was frozen
-    /// on. The baseline admission verdicts recorded here are exactly the
-    /// ones `PredicateSpace::build(relation, config)` applied.
+    /// on. The baseline admission verdicts recorded here come from the
+    /// same [`SharedValues`] pass `PredicateSpace::build(relation, config)`
+    /// applies.
     pub fn new(relation: &Relation, config: &SpaceConfig) -> Self {
-        let schema = relation.schema();
-        let arity = schema.arity();
-        let mut pairs = Vec::new();
-        let mut pairs_of = vec![Vec::new(); arity];
-        // A fraction is at most 1.0, so a threshold above that (the
-        // same-column-only config) can never admit — nothing to track.
-        if config.min_shared_fraction <= 1.0 {
-            for a in 0..arity {
-                for b in (a + 1)..arity {
-                    if schema
-                        .attribute(a)
-                        .ty()
-                        .comparable_with(schema.attribute(b).ty())
-                    {
-                        pairs_of[a].push(pairs.len());
-                        pairs_of[b].push(pairs.len());
-                        pairs.push((a, b));
-                    }
-                }
-            }
-        }
+        let arity = relation.arity();
         let mut tracker = SpaceDriftTracker {
             threshold: config.min_shared_fraction,
-            pairs,
-            pairs_of,
+            pairs: Vec::new(),
+            pairs_of: vec![Vec::new(); arity],
             counts: vec![FxHashMap::default(); arity],
             common: Vec::new(),
             baseline: Vec::new(),
         };
-        tracker.common = vec![0; tracker.pairs.len()];
-        if !tracker.pairs.is_empty() {
-            for row in 0..relation.len() {
-                for col in 0..arity {
-                    tracker.record_cell(col, &relation.value(row, col));
-                }
-            }
+        // A fraction is at most 1.0, so a threshold above that (the
+        // same-column-only config) can never admit — nothing to track.
+        if config.min_shared_fraction > 1.0 {
+            return tracker;
         }
-        tracker.baseline = (0..tracker.pairs.len())
-            .map(|p| tracker.admitted(p))
-            .collect();
+        let shared = SharedValues::of(relation);
+        for pair in shared.pairs() {
+            let p = tracker.pairs.len();
+            tracker.pairs_of[pair.left].push(p);
+            tracker.pairs_of[pair.right].push(p);
+            tracker.pairs.push((pair.left, pair.right));
+            tracker.common.push(pair.common);
+            tracker
+                .baseline
+                .push(shared.pair_fraction(pair) >= config.min_shared_fraction);
+        }
+        if tracker.pairs.is_empty() {
+            return tracker;
+        }
+        for (col, counts) in tracker.counts.iter_mut().enumerate() {
+            *counts = value_multiplicities(relation.column(col));
+            debug_assert_eq!(counts.len(), shared.distinct(col));
+        }
         tracker
     }
 
@@ -207,12 +206,7 @@ impl SpaceDriftTracker {
     /// values.
     fn fraction(&self, p: usize) -> f64 {
         let (a, b) = self.pairs[p];
-        let da = self.counts[a].len();
-        let db = self.counts[b].len();
-        if da == 0 || db == 0 {
-            return 0.0;
-        }
-        self.common[p] as f64 / da.min(db) as f64
+        shared_fraction(self.common[p], self.counts[a].len(), self.counts[b].len())
     }
 
     fn admitted(&self, p: usize) -> bool {
@@ -258,6 +252,42 @@ impl SpaceDriftTracker {
             }
         }
     }
+}
+
+#[cfg(test)]
+impl SpaceDriftTracker {
+    /// Every tracked pair `(left, right)` with its current fraction and its
+    /// frozen admission verdict, in pair order.
+    pub(crate) fn tracked(&self) -> Vec<((usize, usize), f64, bool)> {
+        (0..self.pairs.len())
+            .map(|p| (self.pairs[p], self.fraction(p), self.baseline[p]))
+            .collect()
+    }
+}
+
+/// Multiplicity of each distinct non-null value of `col`, counted per
+/// dictionary code (text) or per sorted bit pattern (numeric), with one
+/// [`ValueKey`] made per distinct value.
+fn value_multiplicities(col: &Column) -> FxHashMap<ValueKey, usize> {
+    let mut out = FxHashMap::default();
+    if let Column::Text { codes, dict } = col {
+        let mut per_code = vec![0usize; dict.len()];
+        for &c in codes.iter().flatten() {
+            per_code[c as usize] += 1;
+        }
+        for (s, &n) in dict.iter().zip(&per_code) {
+            if n > 0 {
+                *out.entry(ValueKey::Text(s.clone())).or_insert(0) += n;
+            }
+        }
+        return out;
+    }
+    let mut bits = numeric_keys(col);
+    bits.sort_unstable();
+    for run in bits.chunk_by(|x, y| x == y) {
+        out.insert(ValueKey::Num(run[0]), run.len());
+    }
+    out
 }
 
 #[cfg(test)]

@@ -9,15 +9,24 @@
 //! * two *different* attributes are compared only if they share at least 30 %
 //!   of their distinct values (configurable via [`SpaceConfig`]).
 //!
+//! The shared-values fractions come from one [`SharedValues`] pass over the
+//! relation: each column's distinct keys once, each unordered comparable
+//! pair intersected once by merge (`adc_data::stats`). `build` skips that
+//! pass altogether when no cross-column shape can be admitted (both
+//! cross-column flags off, or a threshold above 1.0 such as
+//! [`SpaceConfig::same_column_only`]).
+//!
 //! Every predicate gets a dense id (`0..len`); sets of predicates are
-//! [`FixedBitSet`]s over that id range.
+//! [`FixedBitSet`]s over that id range. Ids follow the candidate-structure
+//! order: same-attribute structures by column, then the admitted
+//! cross-column structures by ordered column pair.
 
 #![doc = "conformance: ordered-output"]
 
 use crate::operator::Operator;
 use crate::predicate::{Predicate, TupleRole};
 use adc_data::fx::FxHashMap;
-use adc_data::{FixedBitSet, Relation, Schema};
+use adc_data::{FixedBitSet, Relation, Schema, SharedValues};
 
 /// Configuration for predicate-space generation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,44 +79,67 @@ pub struct PredicateSpace {
     config: SpaceConfig,
 }
 
+/// The operand structures `(left, right, role)` of the space, in id order:
+/// every same-attribute cross-tuple structure, then for each ordered pair of
+/// different comparable attributes whose shared-values fraction passes the
+/// threshold its cross-tuple structure and, once per unordered pair, its
+/// single-tuple structure.
+fn candidate_structures(
+    relation: &Relation,
+    config: &SpaceConfig,
+) -> Vec<(usize, usize, TupleRole)> {
+    let schema = relation.schema();
+    // Same attribute, cross tuple: always admissible.
+    let mut structures: Vec<(usize, usize, TupleRole)> = (0..schema.arity())
+        .map(|col| (col, col, TupleRole::Other))
+        .collect();
+    // A fraction is at most 1.0, so no pair passes a threshold above that
+    // (the same-column-only config), and with both cross-column shapes off a
+    // passing pair adds nothing: skip the statistic altogether.
+    let any_shape = config.cross_column_cross_tuple || config.single_tuple;
+    if !any_shape || config.min_shared_fraction > 1.0 {
+        return structures;
+    }
+    // Different attributes: admissible when types are comparable and the
+    // shared-values fraction passes the threshold.
+    let shared = SharedValues::of(relation);
+    for a in 0..schema.arity() {
+        for b in 0..schema.arity() {
+            if a == b {
+                continue;
+            }
+            let ta = schema.attribute(a).ty();
+            let tb = schema.attribute(b).ty();
+            if !ta.comparable_with(tb) || shared.fraction(a, b) < config.min_shared_fraction {
+                continue;
+            }
+            if config.cross_column_cross_tuple {
+                structures.push((a, b, TupleRole::Other));
+            }
+            // Single-tuple predicates are symmetric in (a, b) up to the
+            // symmetric operator, so generate each unordered pair once.
+            if config.single_tuple && a < b {
+                structures.push((a, b, TupleRole::Same));
+            }
+        }
+    }
+    structures
+}
+
 impl PredicateSpace {
     /// Build the predicate space for a relation.
     pub fn build(relation: &Relation, config: SpaceConfig) -> Self {
-        let schema = relation.schema().clone();
-        let mut candidate_structures: Vec<(usize, usize, TupleRole)> = Vec::new();
+        let structures = candidate_structures(relation, &config);
+        Self::from_structures(relation.schema().clone(), structures, config)
+    }
 
-        // Same attribute, cross tuple: always admissible.
-        for col in 0..schema.arity() {
-            candidate_structures.push((col, col, TupleRole::Other));
-        }
-
-        // Different attributes: admissible when types are comparable and the
-        // shared-values fraction passes the threshold.
-        for a in 0..schema.arity() {
-            for b in 0..schema.arity() {
-                if a == b {
-                    continue;
-                }
-                let ta = schema.attribute(a).ty();
-                let tb = schema.attribute(b).ty();
-                if !ta.comparable_with(tb) {
-                    continue;
-                }
-                let shared = relation.shared_value_fraction(a, b);
-                if shared < config.min_shared_fraction {
-                    continue;
-                }
-                if config.cross_column_cross_tuple {
-                    candidate_structures.push((a, b, TupleRole::Other));
-                }
-                // Single-tuple predicates are symmetric in (a, b) up to the
-                // symmetric operator, so generate each unordered pair once.
-                if config.single_tuple && a < b {
-                    candidate_structures.push((a, b, TupleRole::Same));
-                }
-            }
-        }
-
+    /// Expand candidate structures `(left, right, role)`, in order, into
+    /// their operator groups; predicate ids follow the structure order.
+    fn from_structures(
+        schema: Schema,
+        candidate_structures: Vec<(usize, usize, TupleRole)>,
+        config: SpaceConfig,
+    ) -> Self {
         let mut predicates = Vec::new();
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut group_of = Vec::new();
@@ -460,5 +492,279 @@ mod tests {
         assert!(space
             .find("State", "??", TupleRole::Other, "State")
             .is_none());
+    }
+}
+
+/// Differential check of the one-pass shared-values statistic against the
+/// per-ordered-pair hash-set computation it replaced.
+#[cfg(test)]
+mod shared_values_differential {
+    use super::*;
+    use crate::SpaceDriftTracker;
+    use adc_data::fx::FxHashSet;
+    use adc_data::{AttributeType, Column, Value, ValueKey};
+    use adc_datasets::Dataset;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The distinct keys of one column, rebuilt per call (the replaced form).
+    fn reference_keys(col: &Column) -> FxHashSet<ValueKey> {
+        let mut out = FxHashSet::default();
+        match col {
+            Column::Int(v) => {
+                for x in v.iter().flatten() {
+                    out.insert(ValueKey::Num((*x as f64).to_bits()));
+                }
+            }
+            Column::Float(v) => {
+                for x in v.iter().flatten() {
+                    out.insert(ValueKey::Num(x.to_bits()));
+                }
+            }
+            Column::Text { codes, dict } => {
+                for c in codes.iter().flatten() {
+                    out.insert(ValueKey::Text(dict[*c as usize].clone()));
+                }
+            }
+        }
+        out
+    }
+
+    /// The replaced per-pair fraction: two fresh hash sets per call.
+    fn reference_fraction(r: &Relation, a: usize, b: usize) -> f64 {
+        let (ca, cb) = (r.column(a), r.column(b));
+        if !ca.ty().comparable_with(cb.ty()) {
+            return 0.0;
+        }
+        let ka = reference_keys(ca);
+        let kb = reference_keys(cb);
+        if ka.is_empty() || kb.is_empty() {
+            return 0.0;
+        }
+        let (small, large) = if ka.len() <= kb.len() {
+            (&ka, &kb)
+        } else {
+            (&kb, &ka)
+        };
+        let common = small.iter().filter(|k| large.contains(*k)).count();
+        common as f64 / small.len() as f64
+    }
+
+    /// The replaced candidate loop: one reference fraction per ordered pair.
+    fn reference_structures(r: &Relation, config: &SpaceConfig) -> Vec<(usize, usize, TupleRole)> {
+        let schema = r.schema();
+        let mut out: Vec<(usize, usize, TupleRole)> = (0..schema.arity())
+            .map(|col| (col, col, TupleRole::Other))
+            .collect();
+        for a in 0..schema.arity() {
+            for b in 0..schema.arity() {
+                if a == b {
+                    continue;
+                }
+                let ta = schema.attribute(a).ty();
+                let tb = schema.attribute(b).ty();
+                if !ta.comparable_with(tb) {
+                    continue;
+                }
+                if reference_fraction(r, a, b) < config.min_shared_fraction {
+                    continue;
+                }
+                if config.cross_column_cross_tuple {
+                    out.push((a, b, TupleRole::Other));
+                }
+                if config.single_tuple && a < b {
+                    out.push((a, b, TupleRole::Same));
+                }
+            }
+        }
+        out
+    }
+
+    /// Assert the built space, its fractions and the drift tracker's
+    /// baseline all match the reference computation on `r`.
+    fn assert_matches_reference(r: &Relation, config: SpaceConfig) {
+        let built = PredicateSpace::build(r, config);
+        let reference = PredicateSpace::from_structures(
+            r.schema().clone(),
+            reference_structures(r, &config),
+            config,
+        );
+        assert_eq!(built.predicates, reference.predicates, "{config:?}");
+        assert_eq!(built.groups, reference.groups);
+        assert_eq!(built.group_of, reference.group_of);
+        assert_eq!(built.complement_of, reference.complement_of);
+
+        let shared = SharedValues::of(r);
+        for a in 0..r.arity() {
+            for b in 0..r.arity() {
+                if a == b {
+                    continue;
+                }
+                let expected = reference_fraction(r, a, b).to_bits();
+                assert_eq!(shared.fraction(a, b).to_bits(), expected, "pair ({a}, {b})");
+                assert_eq!(r.shared_value_fraction(a, b).to_bits(), expected);
+            }
+        }
+
+        let tracker = SpaceDriftTracker::new(r, &config);
+        assert!(tracker.drift().is_none());
+        let tracked = tracker.tracked();
+        if config.min_shared_fraction > 1.0 {
+            assert!(tracked.is_empty());
+            return;
+        }
+        assert_eq!(tracked.len(), shared.pairs().len());
+        for ((a, b), fraction, admitted) in tracked {
+            let expected = reference_fraction(r, a, b);
+            assert_eq!(fraction.to_bits(), expected.to_bits(), "pair ({a}, {b})");
+            assert_eq!(admitted, expected >= config.min_shared_fraction);
+            let in_space = |right_role| {
+                built
+                    .id_of(&Predicate {
+                        left_col: a,
+                        right_col: b,
+                        right_role,
+                        op: Operator::Eq,
+                    })
+                    .is_some()
+            };
+            if config.cross_column_cross_tuple {
+                assert_eq!(admitted, in_space(TupleRole::Other), "pair ({a}, {b})");
+            }
+            if config.single_tuple {
+                assert_eq!(admitted, in_space(TupleRole::Same), "pair ({a}, {b})");
+            }
+        }
+    }
+
+    /// A cell drawn from small pools, so columns overlap: nulls, ±0.0, two
+    /// NaN payloads, integers above 2⁵³ (two of which widen to one float),
+    /// and strings shared across columns.
+    fn random_value(rng: &mut StdRng, ty: AttributeType) -> Value {
+        if rng.gen_bool(0.15) {
+            return Value::Null;
+        }
+        const BIG: i64 = 1 << 53;
+        match ty {
+            AttributeType::Integer => {
+                let pool = [0, 1, 2, 3, 5, -1, BIG, BIG + 1, BIG + 2, i64::MAX];
+                Value::Int(pool[rng.gen_range(0..pool.len())])
+            }
+            AttributeType::Float => {
+                let pool = [
+                    0.0,
+                    -0.0,
+                    1.0,
+                    2.0,
+                    0.5,
+                    f64::NAN,
+                    f64::from_bits(0x7ff8_0000_0000_0001),
+                    BIG as f64,
+                    (BIG + 2) as f64,
+                    i64::MAX as f64,
+                ];
+                Value::Float(pool[rng.gen_range(0..pool.len())])
+            }
+            AttributeType::Text => {
+                let pool = ["a", "b", "c", "d", "e", "NY", "WA", ""];
+                pool[rng.gen_range(0..pool.len())].into()
+            }
+        }
+    }
+
+    fn random_row(rng: &mut StdRng, schema: &Schema) -> Vec<Value> {
+        (0..schema.arity())
+            .map(|c| random_value(rng, schema.attribute(c).ty()))
+            .collect()
+    }
+
+    /// A random relation of 1–5 columns and 0–24 rows. Its text
+    /// dictionaries may hold strings no row uses: some cases keep a subset
+    /// of the rows (as a delete does), and some then append fresh rows.
+    fn random_relation(rng: &mut StdRng) -> Relation {
+        let types = [
+            AttributeType::Integer,
+            AttributeType::Float,
+            AttributeType::Text,
+        ];
+        let names = ["A", "B", "C", "D", "E"];
+        let arity = rng.gen_range(1..=names.len());
+        let columns: Vec<(&str, AttributeType)> = names[..arity]
+            .iter()
+            .map(|&n| (n, types[rng.gen_range(0..types.len())]))
+            .collect();
+        let schema = Schema::of(&columns);
+        let mut b = Relation::builder(schema.clone());
+        for _ in 0..rng.gen_range(0..25) {
+            b.push_row(random_row(rng, &schema)).unwrap();
+        }
+        let mut r = b.build();
+        if rng.gen_bool(0.5) {
+            let kept: Vec<usize> = (0..r.len()).filter(|_| rng.gen_bool(0.5)).collect();
+            r = r.project_rows(&kept);
+            if rng.gen_bool(0.5) {
+                let rows = (0..rng.gen_range(0..6))
+                    .map(|_| random_row(rng, &schema))
+                    .collect();
+                r.append_rows(rows).unwrap();
+            }
+        }
+        r
+    }
+
+    fn random_config(rng: &mut StdRng) -> SpaceConfig {
+        let thresholds = [0.0, 0.3, 0.5, 2.0 / 3.0, 1.0, 1.1];
+        SpaceConfig {
+            min_shared_fraction: thresholds[rng.gen_range(0..thresholds.len())],
+            cross_column_cross_tuple: rng.gen_bool(0.7),
+            single_tuple: rng.gen_bool(0.7),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_space_matches_the_hash_set_reference(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let r = random_relation(&mut rng);
+            for config in [SpaceConfig::default(), SpaceConfig::same_column_only(), random_config(&mut rng)] {
+                assert_matches_reference(&r, config);
+            }
+        }
+    }
+
+    #[test]
+    fn unused_dictionary_strings_and_local_codes_do_not_count() {
+        let schema = Schema::of(&[("A", AttributeType::Text), ("B", AttributeType::Text)]);
+        let mut b = Relation::builder(schema);
+        b.push_row(vec!["q".into(), "z".into()]).unwrap();
+        b.push_row(vec!["z".into(), Value::Null]).unwrap();
+        b.push_row(vec!["x".into(), Value::Null]).unwrap();
+        // After the projection A holds "z" and "x" and B nothing, yet B's
+        // dictionary still holds "z" (a dictionary-based count would read 1.0).
+        let mut r = b.build().project_rows(&[1, 2]);
+        assert_eq!(SharedValues::of(&r).fraction(0, 1), 0.0);
+        assert_matches_reference(&r, SpaceConfig::default());
+        // "x" enters B under B's local code 1 and A's code 2.
+        r.append_rows(vec![vec![Value::Null, "x".into()]]).unwrap();
+        assert_eq!(SharedValues::of(&r).fraction(0, 1), 1.0);
+        assert_matches_reference(&r, SpaceConfig::default());
+    }
+
+    #[test]
+    fn every_dataset_generator_matches_the_reference() {
+        for dataset in Dataset::ALL {
+            let r = dataset.generator().generate(40, 5);
+            for config in [
+                SpaceConfig::default(),
+                SpaceConfig::same_column_only(),
+                SpaceConfig {
+                    min_shared_fraction: 0.05,
+                    ..SpaceConfig::default()
+                },
+            ] {
+                assert_matches_reference(&r, config);
+            }
+        }
     }
 }
