@@ -2,14 +2,15 @@
 //! generator (notably the ≥30 % shared-values rule).
 //!
 //! [`SharedValues::of`] is the one implementation of that rule's statistic.
-//! It computes each column's distinct non-null keys once — numeric columns
-//! as a sorted, deduplicated list of `f64` bit patterns (integers widen
-//! first), text columns as the sorted ids of the strings their rows use,
-//! under one string → id interning shared by every text column of the
-//! relation — and intersects each unordered comparable column pair once, by
-//! merge. Text keys come from the row codes, never from the dictionary: a
-//! dictionary may hold strings no row uses ([`Column::project`] clones the
-//! whole dictionary and appends never shrink it).
+//! It computes each column's distinct non-null keys once, with the number
+//! of cells holding each — numeric columns as a sorted list of `f64` bit
+//! patterns (integers widen first), text columns as the sorted ids of the
+//! strings their rows use, under one string → id interning shared by every
+//! text column of the relation — and intersects each unordered comparable
+//! column pair once, by merge. Text keys come from the row codes, never
+//! from the dictionary: a dictionary may hold strings no row uses
+//! ([`Column::project`] clones the whole dictionary and appends never
+//! shrink it).
 
 use crate::column::Column;
 use crate::fx::FxHashMap;
@@ -56,57 +57,75 @@ pub fn shared_fraction(common: usize, distinct_a: usize, distinct_b: usize) -> f
     common as f64 / distinct_a.min(distinct_b) as f64
 }
 
-/// The [`ValueKey::Num`] bit pattern of every non-null cell of a numeric
-/// column, in row order (integers widen to `f64` first); empty for a text
-/// column.
-pub fn numeric_keys(col: &Column) -> Vec<u64> {
-    match col {
-        Column::Int(v) => v.iter().flatten().map(|&x| (x as f64).to_bits()).collect(),
-        Column::Float(v) => v.iter().flatten().map(|x| x.to_bits()).collect(),
-        Column::Text { .. } => Vec::new(),
+/// One column's distinct non-null keys in ascending order, each with the
+/// number of cells holding it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct KeyRuns {
+    /// `true` for a text column, whose keys are interned string ids.
+    text: bool,
+    /// `(key, multiplicity)`, strictly ascending by key.
+    runs: Vec<(u64, usize)>,
+}
+
+/// The [`KeyRuns`] of each column, numeric keys as `f64` bit patterns and
+/// text keys as ids under one interning of the strings the columns' rows
+/// use, returned with the interned strings in id order. Keys of a numeric
+/// and a text column are never compared with each other.
+fn column_keys<'a>(columns: impl IntoIterator<Item = &'a Column>) -> (Vec<KeyRuns>, Vec<&'a str>) {
+    let mut ids: FxHashMap<&'a str, u64> = FxHashMap::default();
+    let mut strings: Vec<&'a str> = Vec::new();
+    let mut per_code: Vec<usize> = Vec::new();
+    let keys = columns
+        .into_iter()
+        .map(|col| match col {
+            Column::Int(v) => numeric_runs(v.iter().flatten().map(|&x| (x as f64).to_bits())),
+            Column::Float(v) => numeric_runs(v.iter().flatten().map(|x| x.to_bits())),
+            Column::Text { codes, dict } => {
+                per_code.clear();
+                per_code.resize(dict.len(), 0);
+                for &c in codes.iter().flatten() {
+                    per_code[c as usize] += 1;
+                }
+                // A dictionary holds each string once, so the ids of one
+                // column are distinct.
+                let mut runs: Vec<(u64, usize)> = dict
+                    .iter()
+                    .zip(&per_code)
+                    .filter(|&(_, &n)| n > 0)
+                    .map(|(s, &n)| {
+                        let id = *ids.entry(s.as_str()).or_insert_with(|| {
+                            strings.push(s.as_str());
+                            strings.len() as u64 - 1
+                        });
+                        (id, n)
+                    })
+                    .collect();
+                runs.sort_unstable_by_key(|&(id, _)| id);
+                KeyRuns { text: true, runs }
+            }
+        })
+        .collect();
+    (keys, strings)
+}
+
+/// The [`KeyRuns`] of a numeric column's non-null cell bit patterns.
+fn numeric_runs(bits: impl Iterator<Item = u64>) -> KeyRuns {
+    let mut bits: Vec<u64> = bits.collect();
+    bits.sort_unstable();
+    KeyRuns {
+        text: false,
+        runs: bits
+            .chunk_by(|x, y| x == y)
+            .map(|run| (run[0], run.len()))
+            .collect(),
     }
 }
 
-/// The sorted, deduplicated distinct keys of each column, numeric keys as
-/// `f64` bit patterns and text keys as ids under one interning of the
-/// strings the columns' rows use. Keys of a numeric and a text column are
-/// never compared with each other.
-fn column_keys<'a>(columns: impl IntoIterator<Item = &'a Column>) -> Vec<Vec<u64>> {
-    let mut interned: FxHashMap<&'a str, u64> = FxHashMap::default();
-    let mut used: Vec<bool> = Vec::new();
-    columns
-        .into_iter()
-        .map(|col| {
-            let mut keys: Vec<u64> = match col {
-                Column::Int(_) | Column::Float(_) => numeric_keys(col),
-                Column::Text { codes, dict } => {
-                    used.clear();
-                    used.resize(dict.len(), false);
-                    for &c in codes.iter().flatten() {
-                        used[c as usize] = true;
-                    }
-                    dict.iter()
-                        .zip(&used)
-                        .filter(|&(_, &u)| u)
-                        .map(|(s, _)| {
-                            let next = interned.len() as u64;
-                            *interned.entry(s.as_str()).or_insert(next)
-                        })
-                        .collect()
-                }
-            };
-            keys.sort_unstable();
-            keys.dedup();
-            keys
-        })
-        .collect()
-}
-
-/// Number of keys two sorted, deduplicated key lists share.
-fn common_keys(a: &[u64], b: &[u64]) -> usize {
+/// Number of keys two strictly ascending key runs share.
+fn common_keys(a: &[(u64, usize)], b: &[(u64, usize)]) -> usize {
     let (mut i, mut j, mut common) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+        match a[i].0.cmp(&b[j].0) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
@@ -131,23 +150,26 @@ pub struct SharedPair {
 }
 
 /// The shared-values statistic of every comparable column pair of one
-/// relation, computed in one pass (see the module docs).
+/// relation, computed in one pass (see the module docs), together with each
+/// column's distinct values and their multiplicities.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedValues {
-    /// Per column, the number of distinct non-null values.
-    distinct: Vec<usize>,
+pub struct SharedValues<'a> {
+    /// Per column, its distinct keys and their multiplicities.
+    columns: Vec<KeyRuns>,
+    /// The interned text keys' strings, in id order.
+    strings: Vec<&'a str>,
     /// Comparable pairs `left < right` in ascending `(left, right)` order.
     pairs: Vec<SharedPair>,
 }
 
-impl SharedValues {
+impl<'a> SharedValues<'a> {
     /// Compute the statistic for every comparable column pair of `relation`.
-    pub fn of(relation: &Relation) -> Self {
-        let keys = column_keys(relation.columns());
+    pub fn of(relation: &'a Relation) -> Self {
+        let (columns, strings) = column_keys(relation.columns());
         let schema = relation.schema();
         let mut pairs = Vec::new();
-        for a in 0..keys.len() {
-            for b in (a + 1)..keys.len() {
+        for a in 0..columns.len() {
+            for b in (a + 1)..columns.len() {
                 if schema
                     .attribute(a)
                     .ty()
@@ -156,20 +178,36 @@ impl SharedValues {
                     pairs.push(SharedPair {
                         left: a,
                         right: b,
-                        common: common_keys(&keys[a], &keys[b]),
+                        common: common_keys(&columns[a].runs, &columns[b].runs),
                     });
                 }
             }
         }
         SharedValues {
-            distinct: keys.iter().map(Vec::len).collect(),
+            columns,
+            strings,
             pairs,
         }
     }
 
     /// Number of distinct non-null values of column `col`.
     pub fn distinct(&self, col: usize) -> usize {
-        self.distinct[col]
+        self.columns[col].runs.len()
+    }
+
+    /// Each distinct non-null value of column `col` as its [`ValueKey`],
+    /// with the number of cells holding it, in an order that depends only
+    /// on the relation.
+    pub fn value_counts(&self, col: usize) -> impl Iterator<Item = (ValueKey, usize)> + '_ {
+        let keys = &self.columns[col];
+        keys.runs.iter().map(move |&(key, n)| {
+            let key = if keys.text {
+                ValueKey::Text(self.strings[key as usize].to_owned())
+            } else {
+                ValueKey::Num(key)
+            };
+            (key, n)
+        })
     }
 
     /// Every comparable pair `left < right`, in ascending `(left, right)`
@@ -182,8 +220,8 @@ impl SharedValues {
     pub fn pair_fraction(&self, pair: &SharedPair) -> f64 {
         shared_fraction(
             pair.common,
-            self.distinct[pair.left],
-            self.distinct[pair.right],
+            self.distinct(pair.left),
+            self.distinct(pair.right),
         )
     }
 
@@ -207,11 +245,11 @@ pub fn shared_value_fraction(a: &Column, b: &Column) -> f64 {
     if !a.ty().comparable_with(b.ty()) {
         return 0.0;
     }
-    let keys = column_keys([a, b]);
+    let (keys, _) = column_keys([a, b]);
     shared_fraction(
-        common_keys(&keys[0], &keys[1]),
-        keys[0].len(),
-        keys[1].len(),
+        common_keys(&keys[0].runs, &keys[1].runs),
+        keys[0].runs.len(),
+        keys[1].runs.len(),
     )
 }
 
@@ -260,17 +298,8 @@ pub fn column_stats(relation: &Relation) -> Vec<ColumnStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fx::FxHashSet;
     use crate::schema::{AttributeType, Schema};
     use crate::value::Value;
-
-    /// The per-column hash-set form of the distinct keys, kept as a
-    /// reference for the one-pass keys.
-    fn distinct_keys(col: &Column) -> FxHashSet<ValueKey> {
-        (0..col.len())
-            .filter_map(|row| value_key(&col.value(row)))
-            .collect()
-    }
 
     fn rel() -> Relation {
         let schema = Schema::of(&[
@@ -336,20 +365,45 @@ mod tests {
         assert_eq!(r.shared_value_fraction(0, 1), 0.0);
     }
 
+    /// Per-cell [`value_key`] counts of one column: the reference for the
+    /// one-pass keys and multiplicities.
+    fn reference_counts(col: &Column) -> FxHashMap<ValueKey, usize> {
+        let mut counts = FxHashMap::default();
+        for row in 0..col.len() {
+            if let Some(k) = value_key(&col.value(row)) {
+                *counts.entry(k).or_insert(0) += 1;
+            }
+        }
+        counts
+    }
+
     #[test]
     fn value_key_matches_the_distinct_key_normalisation() {
         // Int and Float widen to the same numeric key; nulls key to nothing.
         assert_eq!(value_key(&Value::Int(1)), value_key(&Value::Float(1.0)));
         assert_eq!(value_key(&Value::Null), None);
-        // Per-cell keys reproduce exactly the per-column distinct sets that
-        // shared_value_fraction is computed from.
+        // Per-cell keys reproduce exactly the per-column distinct values, and
+        // their multiplicities, that the shared-values statistic is computed
+        // from — also after a projection leaves a dictionary string ("NY")
+        // that no row uses.
         let r = rel();
-        let keys = column_keys(r.columns());
-        let shared = SharedValues::of(&r);
-        for (col, keys) in keys.iter().enumerate() {
-            let reference = distinct_keys(r.column(col));
-            assert_eq!(keys.len(), reference.len(), "column {col}");
-            assert_eq!(shared.distinct(col), reference.len(), "column {col}");
+        let mut projected = r.project_rows(&[3, 2]);
+        projected
+            .append_rows(vec![vec![
+                Value::Int(1),
+                Value::Null,
+                "CA".into(),
+                Value::Float(-0.0),
+            ]])
+            .unwrap();
+        for r in [r, projected] {
+            let shared = SharedValues::of(&r);
+            for col in 0..r.arity() {
+                let reference = reference_counts(r.column(col));
+                let counts: FxHashMap<ValueKey, usize> = shared.value_counts(col).collect();
+                assert_eq!(counts, reference, "column {col}");
+                assert_eq!(shared.distinct(col), reference.len(), "column {col}");
+            }
         }
     }
 

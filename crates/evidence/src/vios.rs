@@ -4,9 +4,10 @@
 //! the paper) needs, for every distinct evidence set `S` and tuple `t`, the
 //! number of ordered pairs with `Sat(t₁,t₂) = S` in which `t` participates.
 //! The `f2` function needs the set of tuples participating in each entry;
-//! it reads them from [`ParticipantRows`], a dense bit matrix derived once
-//! from the index (one row of `⌈n/64⌉` words per entry), so a score is an
-//! OR of the uncovered entries' rows and a popcount.
+//! it reads them from [`ParticipantRows`], derived once from the index (a
+//! bitset row for an entry that touches many tuples, a sorted id list for
+//! one that touches few), so a score is a union of the uncovered entries'
+//! rows into one bitset and a popcount.
 //! Storing per-(entry, tuple) counts costs `O(distinct · tuples)` in the
 //! worst case but is tiny in practice because the number of distinct
 //! evidence sets is orders of magnitude smaller than the number of pairs
@@ -233,57 +234,94 @@ impl Vios {
         counts
     }
 
-    /// The dense participant matrix of this index: one row of `⌈n/64⌉`
-    /// words per entry, bit `t` of row `e` set iff tuple `t` participates in
-    /// a pair of entry `e` (`n` covers every tracked tuple id).
+    /// The participant rows of this index: for every entry, the tuples
+    /// that take part in one of its pairs (see [`ParticipantRows`]).
     pub fn participant_rows(&self) -> ParticipantRows {
         // conformance: allow(unordered) — a max over the keys; the order cannot escape
         let max_id = self.per_entry.iter().flat_map(|m| m.keys()).max();
         let bits = max_id.map_or(self.num_tuples, |&t| self.num_tuples.max(t as usize + 1));
         let words_per_row = bits.div_ceil(64);
-        let mut words = vec![0u64; words_per_row * self.per_entry.len()];
-        for (e, counts) in self.per_entry.iter().enumerate() {
-            let row = &mut words[e * words_per_row..(e + 1) * words_per_row];
-            // conformance: allow(unordered) — sets bits; the result is order-independent
-            for &t in counts.keys() {
-                row[t as usize / 64] |= 1 << (t % 64);
+        let mut rows = Vec::with_capacity(self.per_entry.len());
+        let (mut words, mut ids) = (Vec::new(), Vec::new());
+        for counts in &self.per_entry {
+            // A bitset row costs `words_per_row` words of memory and ORs per
+            // score, an id list one `u32` and one bit store per participant:
+            // take the bitset once it is no larger than the list.
+            if 2 * words_per_row <= counts.len() {
+                let start = words.len();
+                words.resize(start + words_per_row, 0u64);
+                // conformance: allow(unordered) — sets bits; the result is order-independent
+                for &t in counts.keys() {
+                    words[start + t as usize / 64] |= 1 << (t % 64);
+                }
+                rows.push(Row::Bits(start));
+            } else {
+                let start = ids.len();
+                // conformance: allow(unordered) — the ids are sorted right below
+                ids.extend(counts.keys().copied());
+                ids[start..].sort_unstable();
+                rows.push(Row::Ids(start, ids.len()));
             }
         }
         ParticipantRows {
             words_per_row,
+            rows,
             words,
+            ids,
         }
     }
 }
 
-/// Which tuples each evidence entry's pairs touch, as one flat bit matrix
-/// (see [`Vios::participant_rows`]). The `f2` approximation function ORs
-/// the rows of a DC's uncovered entries and counts the bits: the number of
-/// problematic tuples, without hashing a single tuple id.
+/// Where one entry's participants live in [`ParticipantRows`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Row {
+    /// A bitset row: `words[start..start + words_per_row]`.
+    Bits(usize),
+    /// A sorted id list: `ids[start..end]`.
+    Ids(usize, usize),
+}
+
+/// Which tuples each evidence entry's pairs touch (see
+/// [`Vios::participant_rows`]). An entry with at least `2⌈n/64⌉`
+/// participants (`n` the tuple count) holds them as a row of `⌈n/64⌉` bits,
+/// any other entry as a sorted list of tuple ids. So the rows never take
+/// more than four bytes per (entry, participant), and besides clearing and
+/// counting its `⌈n/64⌉`-word union a score does at most one operation per
+/// participant of its entries. The `f2` approximation function unions the
+/// rows of a DC's uncovered entries into one `n`-bit set and counts its
+/// bits: the number of problematic tuples, without hashing a single tuple
+/// id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParticipantRows {
     words_per_row: usize,
-    /// Row `e` is `words[e * words_per_row..(e + 1) * words_per_row]`.
+    rows: Vec<Row>,
+    /// The bitset rows, `words_per_row` words each.
     words: Vec<u64>,
+    /// The id lists, one after another.
+    ids: Vec<u32>,
 }
 
 impl ParticipantRows {
-    /// The participant bits of entry `entry`.
-    fn row(&self, entry: usize) -> &[u64] {
-        &self.words[entry * self.words_per_row..(entry + 1) * self.words_per_row]
-    }
-
     /// Number of distinct tuples participating in at least one pair of the
     /// given entries.
     ///
     /// # Panics
-    /// Panics if an entry lies beyond the index the rows came from (an
-    /// index over no tuples has empty rows and never panics).
+    /// Panics if an entry lies beyond the index the rows came from.
     pub fn distinct_tuples(&self, entries: impl IntoIterator<Item = usize>) -> usize {
         let mut union = vec![0u64; self.words_per_row];
         for e in entries {
-            for (u, w) in union.iter_mut().zip(self.row(e)) {
-                *u |= w;
+            match self.rows[e] {
+                Row::Bits(start) => {
+                    let row = &self.words[start..start + self.words_per_row];
+                    for (u, w) in union.iter_mut().zip(row) {
+                        *u |= w;
+                    }
+                }
+                Row::Ids(start, end) => {
+                    for &t in &self.ids[start..end] {
+                        union[t as usize / 64] |= 1 << (t % 64);
+                    }
+                }
             }
         }
         union.iter().map(|w| w.count_ones() as usize).sum()
@@ -407,11 +445,34 @@ mod tests {
         v.record_pair(2, 4, 5);
         let rows = v.participant_rows();
         assert_eq!(rows.words_per_row, 1);
-        assert_eq!(rows.row(0), &[0b11]);
+        assert_eq!(rows.rows[0], Row::Bits(0));
+        assert_eq!(rows.words[0], 0b11);
         assert_eq!(rows.distinct_tuples([0, 1]), 3);
         assert_eq!(rows.distinct_tuples([2]), 2);
         assert_eq!(rows.distinct_tuples([]), 0);
         assert_eq!(rows.distinct_tuples([0, 1, 2]), 5);
+    }
+
+    #[test]
+    fn participant_rows_take_bitsets_only_for_entries_touching_many_tuples() {
+        // 130 tuples: a bitset row is 3 words, worth it from 6 participants.
+        let mut v = Vios::new(3, 130);
+        v.record_pair(0, 129, 0);
+        v.record_pair(0, 64, 1);
+        for t in 0..4 {
+            v.record_pair(1, t, t + 64);
+        }
+        let rows = v.participant_rows();
+        assert_eq!(
+            rows.rows,
+            vec![Row::Ids(0, 4), Row::Bits(0), Row::Ids(4, 4)]
+        );
+        assert_eq!(rows.ids, vec![0, 1, 64, 129]);
+        assert_eq!(rows.words, vec![0b1111, 0b1111, 0]);
+        assert_eq!(rows.distinct_tuples([0]), 4);
+        assert_eq!(rows.distinct_tuples([1]), 8);
+        assert_eq!(rows.distinct_tuples([0, 1, 2]), 9);
+        assert_eq!(rows.distinct_tuples([2]), 0);
     }
 
     #[test]

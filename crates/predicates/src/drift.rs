@@ -14,9 +14,9 @@
 //! `O(arity + pairs touched)` per row instead of a full recount — using the
 //! [`ValueKey`] normalisation of the shared-values statistic. It is seeded
 //! from the same [`SharedValues`] pass `PredicateSpace::build` reads its
-//! verdicts from (per-pair common counts and the baseline), with the
-//! multiplicities counted per dictionary code rather than per cell, and
-//! every fraction it reports goes through the one
+//! verdicts from (per-pair common counts, the baseline, and each column's
+//! value multiplicities, which that pass counts per dictionary code rather
+//! than per cell), and every fraction it reports goes through the one
 //! [`shared_fraction`](adc_data::stats::shared_fraction) formula. Its
 //! fractions are therefore bit-for-bit the ones `PredicateSpace::build`
 //! would compute on the current rows by construction: equal counts, one
@@ -30,8 +30,8 @@
 
 use crate::space::SpaceConfig;
 use adc_data::fx::FxHashMap;
-use adc_data::stats::{numeric_keys, shared_fraction};
-use adc_data::{value_key, Column, Relation, SharedValues, Value, ValueKey};
+use adc_data::stats::shared_fraction;
+use adc_data::{value_key, Relation, SharedValues, Value, ValueKey};
 use std::fmt;
 
 /// One column pair whose shared-values admission verdict flipped relative
@@ -143,8 +143,7 @@ impl SpaceDriftTracker {
             return tracker;
         }
         for (col, counts) in tracker.counts.iter_mut().enumerate() {
-            *counts = value_multiplicities(relation.column(col));
-            debug_assert_eq!(counts.len(), shared.distinct(col));
+            *counts = shared.value_counts(col).collect();
         }
         tracker
     }
@@ -263,31 +262,6 @@ impl SpaceDriftTracker {
             .map(|p| (self.pairs[p], self.fraction(p), self.baseline[p]))
             .collect()
     }
-}
-
-/// Multiplicity of each distinct non-null value of `col`, counted per
-/// dictionary code (text) or per sorted bit pattern (numeric), with one
-/// [`ValueKey`] made per distinct value.
-fn value_multiplicities(col: &Column) -> FxHashMap<ValueKey, usize> {
-    let mut out = FxHashMap::default();
-    if let Column::Text { codes, dict } = col {
-        let mut per_code = vec![0usize; dict.len()];
-        for &c in codes.iter().flatten() {
-            per_code[c as usize] += 1;
-        }
-        for (s, &n) in dict.iter().zip(&per_code) {
-            if n > 0 {
-                *out.entry(ValueKey::Text(s.clone())).or_insert(0) += n;
-            }
-        }
-        return out;
-    }
-    let mut bits = numeric_keys(col);
-    bits.sort_unstable();
-    for run in bits.chunk_by(|x, y| x == y) {
-        out.insert(ValueKey::Num(run[0]), run.len());
-    }
-    out
 }
 
 #[cfg(test)]

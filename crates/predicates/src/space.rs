@@ -503,7 +503,6 @@ mod shared_values_differential {
     use crate::SpaceDriftTracker;
     use adc_data::fx::FxHashSet;
     use adc_data::{AttributeType, Column, Value, ValueKey};
-    use adc_datasets::Dataset;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -749,22 +748,5 @@ mod shared_values_differential {
         r.append_rows(vec![vec![Value::Null, "x".into()]]).unwrap();
         assert_eq!(SharedValues::of(&r).fraction(0, 1), 1.0);
         assert_matches_reference(&r, SpaceConfig::default());
-    }
-
-    #[test]
-    fn every_dataset_generator_matches_the_reference() {
-        for dataset in Dataset::ALL {
-            let r = dataset.generator().generate(40, 5);
-            for config in [
-                SpaceConfig::default(),
-                SpaceConfig::same_column_only(),
-                SpaceConfig {
-                    min_shared_fraction: 0.05,
-                    ..SpaceConfig::default()
-                },
-            ] {
-                assert_matches_reference(&r, config);
-            }
-        }
     }
 }
