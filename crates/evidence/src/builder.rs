@@ -9,9 +9,25 @@
 //!   every ordered pair of tuples.
 //! * [`ClusterEvidenceBuilder`]: the BFASTDC/DCFinder-style approach — each
 //!   column is reduced to integer codes or floats once, predicates with the
-//!   same operands are grouped so only one comparison per group per pair is
-//!   executed, and the satisfied-predicate bits are assembled with
-//!   precomputed word masks.
+//!   same operands are grouped into one comparison with precomputed word
+//!   masks per outcome, and the `Sat`s are filled a row at a time.
+//!
+//! **Row fill.** [`RowFiller`] fills `Sat(t, j)` for one left row `t` and
+//! every right row `j` into one flat word buffer: it copies `t`'s
+//! `Same`-group words (bits that depend on `t` alone) into every slot, then
+//! ORs in each `Other` group's outcome masks down the right column with
+//! `t`'s operand fixed. Each group is matched once per row, not once per
+//! pair. Outcomes are [`group_outcome`]'s: nulls and NaN satisfy nothing,
+//! −0.0 equals 0.0. The same filler gives the delta builder
+//! ([`crate::delta`]) its `Sat(i, j)` and `Sat(j, i)` rows, and debug builds
+//! check every filled `Sat` against [`fill_pair`].
+//!
+//! **Slice interning.** [`SatCounts`] interns each filled word slice by
+//! `&[u64]`, with no bitset allocated per pair, and counts multiplicities.
+//! The distinct `Sat`s reach the accumulator once each, in first-occurrence
+//! order, so the evidence set is the per-pair scan's, entry order included.
+//! With `Vios` tracked, each pair credits its right tuple and each
+//! (row, entry) credits the left tuple once with its row count.
 //!
 //! The multi-threaded, sub-quadratic builder lives in [`crate::sweep`]; it
 //! reuses `fill_pair` to assemble each block's evidence bitset.
@@ -97,49 +113,43 @@ pub(crate) struct GroupMasks {
     pub(crate) greater: Vec<(usize, u64)>,
 }
 
-/// The global text dictionary behind [`ColumnCodes::Text`]: every string of
-/// every text column's dictionary, numbered in first-seen order (columns in
-/// schema order, each dictionary in code order), so codes are comparable
-/// across columns.
-pub(crate) fn text_dictionary(relation: &Relation) -> FxHashMap<&str, u32> {
+/// Reduce every column to comparison-friendly primitive codes, and return
+/// the global text dictionary behind the [`ColumnCodes::Text`] codes.
+///
+/// Only strings that some row uses get a code: each text column remaps its
+/// dictionary codes as its rows first use them, so a relation projected
+/// from a larger one (whose dictionaries keep every string of the parent)
+/// hashes only the strings it holds. Codes are numbered in first-use order,
+/// columns in schema order and rows in order within a column, which makes
+/// them comparable across columns.
+pub(crate) fn column_codes(relation: &Relation) -> (Vec<ColumnCodes>, FxHashMap<&str, u32>) {
     let mut global: FxHashMap<&str, u32> = FxHashMap::default();
+    let mut columns = Vec::with_capacity(relation.arity());
     for col in relation.columns() {
-        if let Column::Text { dict, .. } = col {
-            for s in dict {
-                let next = global.len() as u32;
-                global.entry(s.as_str()).or_insert(next);
-            }
-        }
-    }
-    global
-}
-
-/// Reduce every column to comparison-friendly primitive codes.
-pub(crate) fn column_codes(relation: &Relation) -> Vec<ColumnCodes> {
-    let global = text_dictionary(relation);
-    relation
-        .columns()
-        .iter()
-        .map(|col| match col {
+        columns.push(match col {
             Column::Int(v) => ColumnCodes::Numeric(v.iter().map(|x| x.map(|i| i as f64)).collect()),
             Column::Float(v) => ColumnCodes::Numeric(v.clone()),
-            Column::Text { codes, dict } => ColumnCodes::Text(
-                codes
-                    .iter()
-                    .map(|c| c.map(|c| global[dict[c as usize].as_str()]))
-                    .collect(),
-            ),
-        })
-        .collect()
+            Column::Text { codes, dict } => {
+                let mut remap: Vec<Option<u32>> = vec![None; dict.len()];
+                let mut global_code = |c: u32| {
+                    *remap[c as usize].get_or_insert_with(|| {
+                        let next = global.len() as u32;
+                        *global.entry(dict[c as usize].as_str()).or_insert(next)
+                    })
+                };
+                ColumnCodes::Text(codes.iter().map(|c| c.map(&mut global_code)).collect())
+            }
+        });
+    }
+    (columns, global)
 }
 
 /// Assemble `Sat(t, t_prime)` into `buffer` (one `u64` word per 64 predicate
 /// ids, zeroed by this function) using precomputed codes and group masks.
 ///
-/// This is the shared inner kernel of [`ClusterEvidenceBuilder`] and the
-/// sweep kernel — keeping it in one place is what guarantees they agree on
-/// every individual evidence bitset. The delta builder fills its `Sat`s a
-/// column at a time instead, and debug builds check each one against this.
+/// The per-pair kernel the sweep assembles its blocks with. The row fill of
+/// [`RowFiller`] computes the same `Sat`s a row at a time, and debug builds
+/// check each one against this.
 pub(crate) fn fill_pair(
     codes: &[ColumnCodes],
     groups: &[GroupMasks],
@@ -246,7 +256,308 @@ pub(crate) fn group_masks(space: &PredicateSpace) -> Vec<GroupMasks> {
     groups
 }
 
-/// Optimised builder: integer codes + per-group outcome masks.
+/// Outcome index of a comparison that satisfies nothing (a null operand or
+/// a NaN), the fourth column of every [`FillGroup`] mask table.
+const NO_OUTCOME: usize = 3;
+
+/// One structure group reduced for the row fill.
+#[derive(Debug, Clone)]
+struct FillGroup {
+    left_col: usize,
+    right_col: usize,
+    /// `(word, masks)` for every `Sat` word the group writes; `masks` is
+    /// indexed by outcome: `Less`, `Equal`, `Greater`, [`NO_OUTCOME`].
+    words: Vec<(usize, [u64; 4])>,
+}
+
+impl FillGroup {
+    fn new(g: &GroupMasks) -> Self {
+        let mut words: Vec<(usize, [u64; 4])> = Vec::new();
+        for (outcome, masks) in [&g.less, &g.equal, &g.greater].into_iter().enumerate() {
+            for &(w, m) in masks {
+                match words.iter_mut().find(|(word, _)| *word == w) {
+                    Some((_, table)) => table[outcome] |= m,
+                    None => {
+                        let mut table = [0; 4];
+                        table[outcome] = m;
+                        words.push((w, table));
+                    }
+                }
+            }
+        }
+        FillGroup {
+            left_col: g.left_col,
+            right_col: g.right_col,
+            words,
+        }
+    }
+}
+
+/// `cmp(a, b)` as a [`FillGroup`] outcome index; NaN compares as nothing
+/// and −0.0 equals 0.0, exactly as `f64::partial_cmp`.
+#[inline]
+fn numeric_outcome(a: f64, b: f64) -> usize {
+    NO_OUTCOME - 3 * usize::from(a < b) - 2 * usize::from(a == b) - usize::from(a > b)
+}
+
+/// Text groups reuse `Equal` and `Greater` ("not equal").
+#[inline]
+fn text_outcome(a: u32, b: u32) -> usize {
+    2 - usize::from(a == b)
+}
+
+/// OR the masks of each row's outcome into that row's `Sat` words
+/// (`words` per row, rows back to back in `sats`).
+#[inline]
+fn or_outcomes(
+    sats: &mut [u64],
+    words: usize,
+    table: &[(usize, [u64; 4])],
+    outcomes: impl Iterator<Item = usize>,
+) {
+    match table {
+        // The usual shape: all of a group's predicates share one word.
+        [(_, masks)] if words == 1 => {
+            for (word, k) in sats.iter_mut().zip(outcomes) {
+                *word |= masks[k & 3];
+            }
+        }
+        _ => {
+            for (sat, k) in sats.chunks_exact_mut(words).zip(outcomes) {
+                for (w, masks) in table {
+                    sat[*w] |= masks[k & 3];
+                }
+            }
+        }
+    }
+}
+
+/// The column-at-a-time `Sat` fill shared by [`ClusterEvidenceBuilder`] and
+/// the delta builder: one row's `Sat`s against every other row, one
+/// structure group at a time down the other column.
+#[derive(Debug, Clone)]
+pub(crate) struct RowFiller {
+    /// `TupleRole::Same` groups, whose bits depend on the pair's `t` alone.
+    same: Vec<FillGroup>,
+    /// `TupleRole::Other` groups.
+    other: Vec<FillGroup>,
+    words: usize,
+    /// The space's structure groups, for the `fill_pair` reference debug
+    /// builds check every filled `Sat` against.
+    #[cfg(debug_assertions)]
+    groups: Vec<GroupMasks>,
+}
+
+impl RowFiller {
+    /// Reduce `space`'s groups for the fill over columns coded as `codes`. A
+    /// group whose columns do not hold its comparison's kind of codes
+    /// satisfies nothing on any pair (`group_outcome` answers `None`) and is
+    /// dropped.
+    pub(crate) fn new(space: &PredicateSpace, codes: &[ColumnCodes]) -> Self {
+        let groups = group_masks(space);
+        let live = groups.iter().filter(|g| {
+            matches!(
+                (g.numeric, &codes[g.left_col], &codes[g.right_col]),
+                (true, ColumnCodes::Numeric(_), ColumnCodes::Numeric(_))
+                    | (false, ColumnCodes::Text(_), ColumnCodes::Text(_))
+            )
+        });
+        let (same, other): (Vec<&GroupMasks>, Vec<&GroupMasks>) =
+            live.partition(|g| g.right_role == TupleRole::Same);
+        RowFiller {
+            same: same.into_iter().map(FillGroup::new).collect(),
+            other: other.into_iter().map(FillGroup::new).collect(),
+            words: space.len().div_ceil(64),
+            #[cfg(debug_assertions)]
+            groups,
+        }
+    }
+
+    /// `u64` words per `Sat`.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// Each of the first `rows` rows' `Same`-group words, one row after
+    /// another.
+    pub(crate) fn same_masks(&self, codes: &[ColumnCodes], rows: usize) -> Vec<u64> {
+        let words = self.words;
+        let mut same = vec![0u64; rows * words];
+        for g in &self.same {
+            match (&codes[g.left_col], &codes[g.right_col]) {
+                (ColumnCodes::Numeric(l), ColumnCodes::Numeric(r)) => {
+                    let outcomes = l[..rows].iter().zip(r).map(|pair| match pair {
+                        (&Some(a), &Some(b)) => numeric_outcome(a, b),
+                        _ => NO_OUTCOME,
+                    });
+                    or_outcomes(&mut same, words, &g.words, outcomes);
+                }
+                (ColumnCodes::Text(l), ColumnCodes::Text(r)) => {
+                    let outcomes = l[..rows].iter().zip(r).map(|pair| match pair {
+                        (&Some(a), &Some(b)) => text_outcome(a, b),
+                        _ => NO_OUTCOME,
+                    });
+                    or_outcomes(&mut same, words, &g.words, outcomes);
+                }
+                _ => {}
+            }
+        }
+        same
+    }
+
+    /// Fill `out` with `Sat(i, j)` for every `j < rows`, `words` words per
+    /// `j`; `same` is [`RowFiller::same_masks`] over at least `rows` rows.
+    /// Slot `j = i` is filled but meaningless.
+    pub(crate) fn fill_left(
+        &self,
+        codes: &[ColumnCodes],
+        same: &[u64],
+        i: usize,
+        rows: usize,
+        out: &mut Vec<u64>,
+    ) {
+        let words = self.words;
+        let own = &same[i * words..(i + 1) * words];
+        out.clear();
+        for _ in 0..rows {
+            out.extend_from_slice(own);
+        }
+        for g in &self.other {
+            match (&codes[g.left_col], &codes[g.right_col]) {
+                (ColumnCodes::Numeric(l), ColumnCodes::Numeric(r)) => {
+                    if let Some(a) = l[i] {
+                        let outcomes = r[..rows]
+                            .iter()
+                            .map(|b| b.map_or(NO_OUTCOME, |b| numeric_outcome(a, b)));
+                        or_outcomes(out, words, &g.words, outcomes);
+                    }
+                }
+                (ColumnCodes::Text(l), ColumnCodes::Text(r)) => {
+                    if let Some(a) = l[i] {
+                        let outcomes = r[..rows]
+                            .iter()
+                            .map(|b| b.map_or(NO_OUTCOME, |b| text_outcome(a, b)));
+                        or_outcomes(out, words, &g.words, outcomes);
+                    }
+                }
+                _ => {}
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.check(codes, out, |j| (i, j), i);
+    }
+
+    /// Fill `out` with `Sat(j, i)` for every `j < rows`, `words` words per
+    /// `j`; `same` is [`RowFiller::same_masks`] over at least `rows` rows.
+    /// Slot `j = i` is filled but meaningless.
+    pub(crate) fn fill_right(
+        &self,
+        codes: &[ColumnCodes],
+        same: &[u64],
+        i: usize,
+        rows: usize,
+        out: &mut Vec<u64>,
+    ) {
+        let words = self.words;
+        out.clear();
+        out.extend_from_slice(&same[..rows * words]);
+        for g in &self.other {
+            match (&codes[g.left_col], &codes[g.right_col]) {
+                (ColumnCodes::Numeric(l), ColumnCodes::Numeric(r)) => {
+                    if let Some(b) = r[i] {
+                        let outcomes = l[..rows]
+                            .iter()
+                            .map(|a| a.map_or(NO_OUTCOME, |a| numeric_outcome(a, b)));
+                        or_outcomes(out, words, &g.words, outcomes);
+                    }
+                }
+                (ColumnCodes::Text(l), ColumnCodes::Text(r)) => {
+                    if let Some(b) = r[i] {
+                        let outcomes = l[..rows]
+                            .iter()
+                            .map(|a| a.map_or(NO_OUTCOME, |a| text_outcome(a, b)));
+                        or_outcomes(out, words, &g.words, outcomes);
+                    }
+                }
+                _ => {}
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.check(codes, out, |j| (j, i), i);
+    }
+
+    /// Debug check: every filled slot but `skip` equals `fill_pair` on the
+    /// pair `pair(j)`.
+    #[cfg(debug_assertions)]
+    fn check(
+        &self,
+        codes: &[ColumnCodes],
+        filled: &[u64],
+        pair: impl Fn(usize) -> (usize, usize),
+        skip: usize,
+    ) {
+        let mut expected = vec![0u64; self.words];
+        for (j, sat) in filled.chunks_exact(self.words).enumerate() {
+            if j != skip {
+                let (t, t_prime) = pair(j);
+                fill_pair(codes, &self.groups, t, t_prime, &mut expected);
+                debug_assert_eq!(sat, expected, "row fill diverged on Sat({t}, {t_prime})");
+            }
+        }
+    }
+}
+
+/// Distinct `Sat`s, interned by their words, in first-occurrence order with
+/// their multiplicities.
+#[derive(Debug, Default)]
+pub(crate) struct SatCounts {
+    index: FxHashMap<Vec<u64>, u32>,
+    /// The distinct `Sat`s' words, back to back, in first-occurrence order.
+    sats: Vec<u64>,
+    counts: Vec<u64>,
+}
+
+impl SatCounts {
+    /// Count one occurrence of `sat` and return its class: the number of
+    /// distinct `Sat`s seen before its first occurrence.
+    #[inline]
+    pub(crate) fn push(&mut self, sat: &[u64]) -> u32 {
+        match self.index.get(sat) {
+            Some(&class) => {
+                self.counts[class as usize] += 1;
+                class
+            }
+            None => {
+                let class = self.counts.len() as u32;
+                self.index.insert(sat.to_vec(), class);
+                self.sats.extend_from_slice(sat);
+                self.counts.push(1);
+                class
+            }
+        }
+    }
+
+    /// Number of distinct `Sat`s.
+    pub(crate) fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// `(words, multiplicity)` of every distinct `Sat`, in class order.
+    pub(crate) fn iter(&self, words: usize) -> impl Iterator<Item = (&[u64], u64)> {
+        self.sats
+            .chunks_exact(words)
+            .zip(self.counts.iter().copied())
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.index.clear();
+        self.sats.clear();
+        self.counts.clear();
+    }
+}
+
+/// Optimised builder: integer codes, per-group outcome masks, a row-at-a-time
+/// fill and slice interning (see the module docs).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ClusterEvidenceBuilder;
 
@@ -266,22 +577,48 @@ impl EvidenceBuilder for ClusterEvidenceBuilder {
             };
         }
 
-        let codes = column_codes(relation);
-        let groups = group_masks(space);
-        let words = space.len().div_ceil(64);
-        let mut buffer = vec![0u64; words];
+        let (codes, _) = column_codes(relation);
+        let filler = RowFiller::new(space, &codes);
+        let words = filler.words();
+        let same = filler.same_masks(&codes, n);
+        let mut row = Vec::with_capacity(n * words);
+        let mut sats = SatCounts::default();
+        // Vios only: row `t`'s pair count per class, and the classes it hit.
+        let mut row_counts: Vec<u32> = Vec::new();
+        let mut row_classes: Vec<u32> = Vec::new();
 
         for t in 0..n {
-            for t_prime in 0..n {
-                if t == t_prime {
+            filler.fill_left(&codes, &same, t, n, &mut row);
+            for (t_prime, sat) in row.chunks_exact(words).enumerate() {
+                if t_prime == t {
                     continue;
                 }
-                fill_pair(&codes, &groups, t, t_prime, &mut buffer);
-                let entry = acc.add(FixedBitSet::from_words(space.len(), &buffer));
+                let class = sats.push(sat);
                 if let Some(v) = vios.as_mut() {
-                    v.record_pair(entry, t as u32, t_prime as u32);
+                    v.record_bulk(class as usize, t_prime as u32, 1);
+                    if class as usize == row_counts.len() {
+                        row_counts.push(0);
+                    }
+                    let count = &mut row_counts[class as usize];
+                    if *count == 0 {
+                        row_classes.push(class);
+                    }
+                    *count += 1;
                 }
             }
+            if let Some(v) = vios.as_mut() {
+                for class in row_classes.drain(..) {
+                    let count = std::mem::take(&mut row_counts[class as usize]);
+                    v.record_bulk(class as usize, t as u32, count);
+                }
+            }
+        }
+        // Classes are numbered in first-occurrence order and the accumulator
+        // starts empty, so class `c` becomes entry `c`: the `Vios` credits
+        // above already sit on the right entries.
+        for (class, (sat, count)) in sats.iter(words).enumerate() {
+            let entry = acc.add_many(FixedBitSet::from_words(space.len(), sat), count);
+            debug_assert_eq!(entry, class);
         }
         Evidence {
             evidence_set: acc.finish(),
@@ -295,7 +632,9 @@ pub(crate) mod tests {
     use super::*;
     use adc_data::{AttributeType, Schema, Value};
     use adc_predicates::SpaceConfig;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
 
     /// The paper's Table-1-style 5-row fixture (shared with `sweep.rs` and `delta.rs`).
@@ -348,6 +687,187 @@ pub(crate) mod tests {
             b.push_row(vec![a, bval, c, d]).unwrap();
         }
         b.build()
+    }
+
+    /// One random cell: nulls everywhere, two NaN payloads and ±0.0 in float
+    /// columns, and small domains shared across columns (so cross-column and
+    /// Int/Float cross-type groups are generated and `Sat`s collide). Shared
+    /// with `delta.rs`.
+    pub(crate) fn edge_value(ty: AttributeType, rng: &mut StdRng) -> Value {
+        if rng.gen_bool(0.15) {
+            return Value::Null;
+        }
+        match ty {
+            AttributeType::Text => ["a", "b", "c", "d"][rng.gen_range(0..4)].into(),
+            AttributeType::Integer => Value::Int(rng.gen_range(-1..3)),
+            AttributeType::Float => match rng.gen_range(0..7) {
+                0 => Value::Float(f64::NAN),
+                1 => Value::Float(f64::from_bits(f64::NAN.to_bits() | 1)),
+                2 => Value::Float(-0.0),
+                3 => Value::Float(0.0),
+                4 => Value::Float(0.5),
+                _ => Value::Int(rng.gen_range(-1..3)),
+            },
+        }
+    }
+
+    pub(crate) fn edge_row(schema: &Schema, rng: &mut StdRng) -> Vec<Value> {
+        (0..schema.arity())
+            .map(|c| edge_value(schema.attribute(c).ty(), rng))
+            .collect()
+    }
+
+    /// `rows` edge rows whose text dictionaries also hold strings no row
+    /// uses. The rows are drawn interleaved with spare rows that carry
+    /// strings of their own, and `project_rows` keeps the edge rows in
+    /// shuffled order. The last few kept rows go back in through
+    /// `append_rows`, some of their text cells swapped for a spare string
+    /// (one the dictionary holds but no row uses).
+    fn relation_with_unused_strings(schema: &Schema, rows: usize, rng: &mut StdRng) -> Relation {
+        let mut b = Relation::builder(schema.clone());
+        let mut keep = Vec::with_capacity(rows);
+        let mut spares = 0usize;
+        for _ in 0..rows {
+            while rng.gen_bool(0.3) {
+                let spare = (0..schema.arity())
+                    .map(|c| match schema.attribute(c).ty() {
+                        AttributeType::Text => Value::from(format!("spare{spares}").as_str()),
+                        ty => edge_value(ty, rng),
+                    })
+                    .collect();
+                b.push_row(spare).unwrap();
+                spares += 1;
+            }
+            keep.push(b.len());
+            b.push_row(edge_row(schema, rng)).unwrap();
+        }
+        let full = b.build();
+        keep.shuffle(rng);
+        let appended = keep.split_off(keep.len() - rng.gen_range(0..=keep.len().min(4)));
+        let mut r = full.project_rows(&keep);
+        let appended = appended
+            .into_iter()
+            .map(|row| {
+                let mut values = full.row(row);
+                for (c, v) in values.iter_mut().enumerate() {
+                    let text = schema.attribute(c).ty() == AttributeType::Text;
+                    if text && spares > 0 && rng.gen_bool(0.3) {
+                        *v = format!("spare{}", rng.gen_range(0..spares)).as_str().into();
+                    }
+                }
+                values
+            })
+            .collect();
+        r.append_rows(appended).unwrap();
+        r
+    }
+
+    /// The per-pair cluster scan the row fill replaced, kept as its
+    /// reference: one `fill_pair`, one accumulator `add` and one `Vios`
+    /// `record_pair` per ordered pair, in row-major order.
+    fn per_pair_reference(
+        relation: &Relation,
+        space: &PredicateSpace,
+        track_vios: bool,
+    ) -> Evidence {
+        let n = relation.len();
+        let mut acc = EvidenceAccumulator::new(space.len(), n);
+        let mut vios = track_vios.then(|| Vios::new(0, n));
+        if n > 0 && !space.is_empty() {
+            let (codes, _) = column_codes(relation);
+            let groups = group_masks(space);
+            let mut buffer = vec![0u64; space.len().div_ceil(64)];
+            for t in 0..n {
+                for t_prime in (0..n).filter(|&t_prime| t_prime != t) {
+                    fill_pair(&codes, &groups, t, t_prime, &mut buffer);
+                    let entry = acc.add(FixedBitSet::from_words(space.len(), &buffer));
+                    if let Some(v) = vios.as_mut() {
+                        v.record_pair(entry, t as u32, t_prime as u32);
+                    }
+                }
+            }
+        }
+        Evidence {
+            evidence_set: acc.finish(),
+            vios,
+        }
+    }
+
+    proptest! {
+        /// The row fill with slice interning is the per-pair scan it
+        /// replaced: the same evidence set, entry order included, and the
+        /// same `Vios`, on relations with nulls, two NaN payloads, ±0.0,
+        /// Int/Float cross-type pairs, cross-column and `Same`-role groups,
+        /// one- and multi-word `Sat`s and unused dictionary strings, under
+        /// the default, the same-column-only and a random space config.
+        #[test]
+        fn cluster_matches_the_per_pair_reference(
+            seed in any::<u64>(),
+            rows in 0usize..131,
+            wide in any::<bool>(),
+            config in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut columns = vec![
+                ("S", AttributeType::Text),
+                ("T", AttributeType::Text),
+                ("I", AttributeType::Integer),
+                ("F", AttributeType::Float),
+            ];
+            if wide {
+                columns.extend([("J", AttributeType::Integer), ("G", AttributeType::Float)]);
+            }
+            let schema = Schema::of(&columns);
+            let relation = relation_with_unused_strings(&schema, rows, &mut rng);
+            let config = match config {
+                0 => SpaceConfig::default(),
+                1 => SpaceConfig::same_column_only(),
+                _ => SpaceConfig {
+                    min_shared_fraction: rng.gen_range(0.0..1.0),
+                    cross_column_cross_tuple: rng.gen_bool(0.5),
+                    single_tuple: rng.gen_bool(0.5),
+                },
+            };
+            let space = PredicateSpace::build(&relation, config);
+            for track_vios in [false, true] {
+                prop_assert_eq!(
+                    ClusterEvidenceBuilder.build(&relation, &space, track_vios),
+                    per_pair_reference(&relation, &space, track_vios)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_reference_relations_reach_multi_word_sats_and_unused_strings() {
+        let schema = Schema::of(&[
+            ("S", AttributeType::Text),
+            ("T", AttributeType::Text),
+            ("I", AttributeType::Integer),
+            ("F", AttributeType::Float),
+            ("J", AttributeType::Integer),
+            ("G", AttributeType::Float),
+        ]);
+        let r = relation_with_unused_strings(&schema, 40, &mut StdRng::seed_from_u64(3));
+        let space = PredicateSpace::build(&r, SpaceConfig::default());
+        assert!(space.len() > 64, "{} predicates", space.len());
+        let dictionary_strings: usize = r.columns().iter().map(|c| c.dictionary().len()).sum();
+        assert!(column_codes(&r).1.len() < dictionary_strings);
+    }
+
+    #[test]
+    fn column_codes_number_only_the_strings_rows_use() {
+        // Julia, Jimmy and Sam: "Alice", "Mark" and "NY" stay in the
+        // projected dictionaries without a row that uses them.
+        let r = small_relation().project_rows(&[4, 2, 3]);
+        let (codes, dictionary) = column_codes(&r);
+        let mut strings: Vec<(&str, u32)> = dictionary.into_iter().collect();
+        strings.sort_unstable_by_key(|&(_, code)| code);
+        assert_eq!(strings, [("Sam", 0), ("Julia", 1), ("Jimmy", 2), ("WA", 3)]);
+        let ColumnCodes::Text(names) = &codes[0] else {
+            panic!("Name is a text column")
+        };
+        assert_eq!(names, &[Some(0), Some(1), Some(2)]);
     }
 
     fn assert_same_evidence(r: &Relation, space: &PredicateSpace) {

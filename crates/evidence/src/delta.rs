@@ -12,19 +12,19 @@
 //! against the patched one.
 //!
 //! * **Maintained codes.** The builder keeps the relation's
-//!   [`column_codes`](crate::builder) and their one global text dictionary.
-//!   A delete drops the deleted rows' codes; an insert codes the new rows'
-//!   values, giving a string seen for the first time the next global code.
-//!   Nothing is recomputed from the whole relation per batch.
-//! * **Column-at-a-time fill.** For each deleted or inserted row `i`, one
-//!   flat word buffer receives `Sat(i, j)` and `Sat(j, i)` for every other
-//!   row `j`, one structure group at a time: row `i`'s operand is fixed and
-//!   the loop runs down the other column. A `Same`-role group is a constant
-//!   mask on the `i`-as-`t` side and each row's own outcome on the
-//!   `j`-as-`t` side, so those masks are computed once per side. Outcomes
-//!   are `group_outcome`'s: nulls and NaN satisfy nothing, −0.0 equals 0.0.
-//!   Debug builds check every filled pair against `fill_pair`, the kernel
-//!   the batch builders share.
+//!   [`column_codes`](crate::builder) and the one global text dictionary
+//!   that call numbered them with. A delete drops the deleted rows' codes;
+//!   an insert codes the new rows' values, giving a string without a code
+//!   the next global code. Nothing is recomputed from the whole relation
+//!   per batch.
+//! * **Column-at-a-time fill.** The fill is the batch cluster kernel's
+//!   (`RowFiller` in [`crate::builder`]). For each deleted or inserted row
+//!   `i`, one buffer receives `Sat(i, j)` and another `Sat(j, i)` for every
+//!   other row `j`, one structure group at a time: row `i`'s operand is
+//!   fixed and the loop runs down the other column. `Same`-role masks are
+//!   computed once per side. Outcomes are `group_outcome`'s: nulls and NaN
+//!   satisfy nothing, −0.0 equals 0.0. Debug builds check every filled pair
+//!   against `fill_pair`.
 //! * **Consolidation.** The filled words are consolidated into
 //!   (distinct `Sat`, multiplicity) in first-occurrence scan order, and the
 //!   accumulator is touched once per distinct `Sat`
@@ -50,13 +50,13 @@
 
 #![doc = "conformance: ordered-output"]
 
-use crate::builder::{column_codes, group_masks, text_dictionary, ColumnCodes, GroupMasks};
+use crate::builder::{column_codes, ColumnCodes, RowFiller, SatCounts};
 use crate::evidence::{EvidenceAccumulator, EvidenceSet};
 use crate::vios::Vios;
 use crate::{Evidence, EvidenceBuilder};
 use adc_data::fx::FxHashMap;
 use adc_data::{DataError, FixedBitSet, Relation, Value};
-use adc_predicates::{PredicateSpace, TupleRole};
+use adc_predicates::PredicateSpace;
 
 /// What one [`DeltaEvidenceBuilder::apply`] did to the evidence multiset, in
 /// terms of **post-compaction** entry indexes (except for removals, whose
@@ -124,85 +124,9 @@ impl EvidenceDelta {
     }
 }
 
-/// Outcome index of a comparison that satisfies nothing (a null operand or
-/// a NaN), the fourth column of every [`FillGroup`] mask table.
-const NO_OUTCOME: usize = 3;
-
 /// Pairs the `Vios` path logs before it applies the consolidated `Sat`s
 /// gathered so far, which bounds the per-pair log on large batches.
 const VIOS_FLUSH_PAIRS: usize = 1 << 16;
-
-/// One structure group reduced for the column-at-a-time fill.
-#[derive(Debug, Clone)]
-struct FillGroup {
-    left_col: usize,
-    right_col: usize,
-    /// `(word, masks)` for every `Sat` word the group writes; `masks` is
-    /// indexed by outcome: `Less`, `Equal`, `Greater`, [`NO_OUTCOME`].
-    words: Vec<(usize, [u64; 4])>,
-}
-
-impl FillGroup {
-    fn new(g: &GroupMasks) -> Self {
-        let mut words: Vec<(usize, [u64; 4])> = Vec::new();
-        for (outcome, masks) in [&g.less, &g.equal, &g.greater].into_iter().enumerate() {
-            for &(w, m) in masks {
-                match words.iter_mut().find(|(word, _)| *word == w) {
-                    Some((_, table)) => table[outcome] |= m,
-                    None => {
-                        let mut table = [0; 4];
-                        table[outcome] = m;
-                        words.push((w, table));
-                    }
-                }
-            }
-        }
-        FillGroup {
-            left_col: g.left_col,
-            right_col: g.right_col,
-            words,
-        }
-    }
-}
-
-/// `cmp(a, b)` as a [`FillGroup`] outcome index; NaN compares as nothing
-/// and −0.0 equals 0.0, exactly as `f64::partial_cmp`.
-#[inline]
-fn numeric_outcome(a: f64, b: f64) -> usize {
-    NO_OUTCOME - 3 * usize::from(a < b) - 2 * usize::from(a == b) - usize::from(a > b)
-}
-
-/// Text groups reuse `Equal` and `Greater` ("not equal").
-#[inline]
-fn text_outcome(a: u32, b: u32) -> usize {
-    2 - usize::from(a == b)
-}
-
-/// OR the masks of each row's outcome into that row's `Sat` words
-/// (`words` per row, rows back to back in `sats`).
-#[inline]
-fn or_outcomes(
-    sats: &mut [u64],
-    words: usize,
-    table: &[(usize, [u64; 4])],
-    outcomes: impl Iterator<Item = usize>,
-) {
-    match table {
-        // The usual shape: all of a group's predicates share one word.
-        [(_, masks)] if words == 1 => {
-            for (word, k) in sats.iter_mut().zip(outcomes) {
-                *word |= masks[k & 3];
-            }
-        }
-        _ => {
-            for (sat, k) in sats.chunks_exact_mut(words).zip(outcomes) {
-                for (w, masks) in table {
-                    sat[*w] |= masks[k & 3];
-                }
-            }
-        }
-    }
-}
 
 /// Drop the rows marked in `deleted`, keeping the order of the rest.
 fn retain_rows<T>(values: &mut Vec<T>, deleted: &[bool]) {
@@ -242,38 +166,22 @@ enum Side {
 /// once, in first-occurrence order, with its multiplicity.
 #[derive(Debug, Default)]
 struct ZSet {
-    index: FxHashMap<Vec<u64>, u32>,
-    /// The distinct `Sat`s' words, back to back, in first-occurrence order.
-    sats: Vec<u64>,
-    counts: Vec<u64>,
+    sats: SatCounts,
     /// `(distinct Sat, t, t')` per scanned pair; logged only with `Vios`.
     pairs: Vec<(u32, u32, u32)>,
 }
 
 impl ZSet {
+    #[inline]
     fn push(&mut self, sat: &[u64], t: usize, t_prime: usize, log_pair: bool) {
-        let class = match self.index.get(sat) {
-            Some(&class) => {
-                self.counts[class as usize] += 1;
-                class
-            }
-            None => {
-                let class = self.counts.len() as u32;
-                self.index.insert(sat.to_vec(), class);
-                self.sats.extend_from_slice(sat);
-                self.counts.push(1);
-                class
-            }
-        };
+        let class = self.sats.push(sat);
         if log_pair {
             self.pairs.push((class, t as u32, t_prime as u32));
         }
     }
 
     fn clear(&mut self) {
-        self.index.clear();
         self.sats.clear();
-        self.counts.clear();
         self.pairs.clear();
     }
 }
@@ -301,14 +209,8 @@ pub struct DeltaEvidenceBuilder {
     codes: Vec<ColumnCodes>,
     /// The global text dictionary behind the `Text` codes.
     dictionary: FxHashMap<String, u32>,
-    /// The space's structure groups, for the `fill_pair` reference debug
-    /// builds check every filled `Sat` against.
-    #[cfg(debug_assertions)]
-    groups: Vec<GroupMasks>,
-    /// `TupleRole::Same` groups, reduced for the fill.
-    same_groups: Vec<FillGroup>,
-    /// `TupleRole::Other` groups, reduced for the fill.
-    other_groups: Vec<FillGroup>,
+    /// The space's groups, reduced for the row fill.
+    filler: RowFiller,
     num_predicates: usize,
 }
 
@@ -358,33 +260,20 @@ impl DeltaEvidenceBuilder {
             evidence_set.entries().iter().all(|e| e.count > 0),
             "differential maintenance requires compacted evidence (no zero-count entries)"
         );
-        let codes = column_codes(&relation);
-        let dictionary = text_dictionary(&relation)
+        let (codes, dictionary) = column_codes(&relation);
+        let dictionary = dictionary
+            // conformance: allow(unordered) — collected into a hash map keyed by string; no order escapes
             .into_iter()
             .map(|(s, code)| (s.to_owned(), code))
             .collect();
-        let groups = group_masks(space);
-        // A group whose columns do not hold its comparison's kind of codes
-        // satisfies nothing on any pair (`group_outcome` answers `None`).
-        let live = groups.iter().filter(|g| {
-            matches!(
-                (g.numeric, &codes[g.left_col], &codes[g.right_col]),
-                (true, ColumnCodes::Numeric(_), ColumnCodes::Numeric(_))
-                    | (false, ColumnCodes::Text(_), ColumnCodes::Text(_))
-            )
-        });
-        let (same, other): (Vec<&GroupMasks>, Vec<&GroupMasks>) =
-            live.partition(|g| g.right_role == TupleRole::Same);
+        let filler = RowFiller::new(space, &codes);
         DeltaEvidenceBuilder {
             relation,
             acc: EvidenceAccumulator::from_set(evidence_set),
             vios,
             codes,
             dictionary,
-            same_groups: same.into_iter().map(FillGroup::new).collect(),
-            other_groups: other.into_iter().map(FillGroup::new).collect(),
-            #[cfg(debug_assertions)]
-            groups,
+            filler,
             num_predicates: space.len(),
         }
     }
@@ -448,7 +337,7 @@ impl DeltaEvidenceBuilder {
         let entries_before = self.acc.current().distinct_count();
         let mut net_change: FxHashMap<usize, i64> = FxHashMap::default();
         let mut pairs_scanned = 0u64;
-        let words = self.num_predicates.div_ceil(64);
+        let words = self.filler.words();
         let mut fill = RowFill::default();
         let mut zset = ZSet::default();
         let log_pairs = self.vios.is_some();
@@ -462,7 +351,7 @@ impl DeltaEvidenceBuilder {
         // pairs whose first element is deleted, plus pairs whose second
         // element is deleted but first is not).
         if !deletes.is_empty() && self.num_predicates > 0 {
-            let same = self.same_masks(n_old);
+            let same = self.filler.same_masks(&self.codes, n_old);
             for &d in &deletes {
                 self.fill_row(d, n_old, &same, &mut fill);
                 for (other, (sat_fwd, sat_rev)) in fill.pairs(words).enumerate() {
@@ -511,7 +400,7 @@ impl DeltaEvidenceBuilder {
         self.relation.append_rows(inserts)?;
         let n_new = self.relation.len();
         if n_new > n_mid && self.num_predicates > 0 {
-            let same = self.same_masks(n_new);
+            let same = self.filler.same_masks(&self.codes, n_new);
             for i in n_mid..n_new {
                 self.fill_row(i, i, &same, &mut fill);
                 for (j, (sat_fwd, sat_rev)) in fill.pairs(words).enumerate() {
@@ -571,90 +460,12 @@ impl DeltaEvidenceBuilder {
         })
     }
 
-    /// Each of the first `rows` rows' `Same`-group words (`Sat` bits that
-    /// depend on the pair's `t` alone), one row after another.
-    fn same_masks(&self, rows: usize) -> Vec<u64> {
-        let words = self.num_predicates.div_ceil(64);
-        let mut same = vec![0u64; rows * words];
-        for g in &self.same_groups {
-            match (&self.codes[g.left_col], &self.codes[g.right_col]) {
-                (ColumnCodes::Numeric(l), ColumnCodes::Numeric(r)) => {
-                    let outcomes = l.iter().zip(r).map(|pair| match pair {
-                        (&Some(a), &Some(b)) => numeric_outcome(a, b),
-                        _ => NO_OUTCOME,
-                    });
-                    or_outcomes(&mut same, words, &g.words, outcomes);
-                }
-                (ColumnCodes::Text(l), ColumnCodes::Text(r)) => {
-                    let outcomes = l.iter().zip(r).map(|pair| match pair {
-                        (&Some(a), &Some(b)) => text_outcome(a, b),
-                        _ => NO_OUTCOME,
-                    });
-                    or_outcomes(&mut same, words, &g.words, outcomes);
-                }
-                _ => {}
-            }
-        }
-        same
-    }
-
     /// Fill `fill.fwd` with `Sat(i, j)` and `fill.rev` with `Sat(j, i)` for
-    /// every `j < rows`, one group at a time down the other column. Row
-    /// `j = i` is filled but meaningless.
+    /// every `j < rows`. Row `j = i` is filled but meaningless.
     fn fill_row(&self, i: usize, rows: usize, same: &[u64], fill: &mut RowFill) {
-        let words = self.num_predicates.div_ceil(64);
-        let RowFill { fwd, rev } = fill;
-        let own = &same[i * words..(i + 1) * words];
-        fwd.clear();
-        for _ in 0..rows {
-            fwd.extend_from_slice(own);
-        }
-        rev.clear();
-        rev.extend_from_slice(&same[..rows * words]);
-        for g in &self.other_groups {
-            match (&self.codes[g.left_col], &self.codes[g.right_col]) {
-                (ColumnCodes::Numeric(l), ColumnCodes::Numeric(r)) => {
-                    if let Some(a) = l[i] {
-                        let outcomes = r[..rows]
-                            .iter()
-                            .map(|b| b.map_or(NO_OUTCOME, |b| numeric_outcome(a, b)));
-                        or_outcomes(fwd, words, &g.words, outcomes);
-                    }
-                    if let Some(b) = r[i] {
-                        let outcomes = l[..rows]
-                            .iter()
-                            .map(|a| a.map_or(NO_OUTCOME, |a| numeric_outcome(a, b)));
-                        or_outcomes(rev, words, &g.words, outcomes);
-                    }
-                }
-                (ColumnCodes::Text(l), ColumnCodes::Text(r)) => {
-                    if let Some(a) = l[i] {
-                        let outcomes = r[..rows]
-                            .iter()
-                            .map(|b| b.map_or(NO_OUTCOME, |b| text_outcome(a, b)));
-                        or_outcomes(fwd, words, &g.words, outcomes);
-                    }
-                    if let Some(b) = r[i] {
-                        let outcomes = l[..rows]
-                            .iter()
-                            .map(|a| a.map_or(NO_OUTCOME, |a| text_outcome(a, b)));
-                        or_outcomes(rev, words, &g.words, outcomes);
-                    }
-                }
-                _ => {}
-            }
-        }
-        #[cfg(debug_assertions)]
-        {
-            let mut check = vec![0u64; words];
-            let pairs = fwd.chunks_exact(words).zip(rev.chunks_exact(words));
-            for (j, (sat_ij, sat_ji)) in pairs.enumerate().filter(|&(j, _)| j != i) {
-                crate::builder::fill_pair(&self.codes, &self.groups, i, j, &mut check);
-                debug_assert_eq!(sat_ij, check, "column fill diverged on Sat({i}, {j})");
-                crate::builder::fill_pair(&self.codes, &self.groups, j, i, &mut check);
-                debug_assert_eq!(sat_ji, check, "column fill diverged on Sat({j}, {i})");
-            }
-        }
+        let codes = &self.codes;
+        self.filler.fill_left(codes, same, i, rows, &mut fill.fwd);
+        self.filler.fill_right(codes, same, i, rows, &mut fill.rev);
     }
 
     /// Append the codes of `rows` (already checked against the schema); a
@@ -689,9 +500,9 @@ impl DeltaEvidenceBuilder {
     /// `net_change` update per distinct `Sat`, then the per-pair `Vios`
     /// credits on the entries those `Sat`s resolved to. Leaves `zset` empty.
     fn apply_zset(&mut self, zset: &mut ZSet, side: Side, net_change: &mut FxHashMap<usize, i64>) {
-        let words = self.num_predicates.div_ceil(64);
-        let mut entries = Vec::with_capacity(zset.counts.len());
-        for (sat, &count) in zset.sats.chunks_exact(words).zip(&zset.counts) {
+        let words = self.filler.words();
+        let mut entries = Vec::with_capacity(zset.sats.len());
+        for (sat, count) in zset.sats.iter(words) {
             let set = FixedBitSet::from_words(self.num_predicates, sat);
             let (entry, net) = match side {
                 Side::Retract => (self.acc.retract_many(&set, count), -(count as i64)),
@@ -717,8 +528,8 @@ impl DeltaEvidenceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::fill_pair;
-    use crate::builder::tests::{random_relation, small_relation};
+    use crate::builder::tests::{edge_row, random_relation, small_relation};
+    use crate::builder::{fill_pair, group_masks, GroupMasks};
     use crate::{ClusterEvidenceBuilder, EvidenceBuilder};
     use adc_data::fx::FxHashMap;
     use adc_data::{AttributeType, Schema};
@@ -781,6 +592,40 @@ mod tests {
         assert_eq!(delta.pairs_scanned, 2 * n);
         assert!(!delta.is_empty());
         assert!(delta.removed.is_empty());
+        assert_matches_batch_rebuild(&builder, &space);
+    }
+
+    #[test]
+    fn inserts_of_strings_the_seed_left_uncoded_match_batch_rebuild() {
+        // Julia, Jimmy and Sam: the projected dictionaries still hold
+        // "Alice", "Mark" and "NY", but no row uses them, so none has a code.
+        let r = small_relation().project_rows(&[4, 2, 3]);
+        let space = PredicateSpace::build(&r, SpaceConfig::default());
+        let mut builder = DeltaEvidenceBuilder::new(&r, &space, true);
+        assert_eq!(builder.dictionary.len(), 4);
+        builder
+            .apply(
+                &[1],
+                vec![
+                    vec![
+                        "Mark".into(),
+                        "NY".into(),
+                        Value::Int(42_000),
+                        Value::Int(4_700),
+                    ],
+                    vec![
+                        "Sam".into(),
+                        "NY".into(),
+                        Value::Int(30_000),
+                        Value::Int(2_000),
+                    ],
+                ],
+            )
+            .unwrap();
+        assert_matches_batch_rebuild(&builder, &space);
+        builder
+            .apply(&[], vec![r.row(0), small_relation().row(0)])
+            .unwrap();
         assert_matches_batch_rebuild(&builder, &space);
     }
 
@@ -1008,7 +853,7 @@ mod tests {
                 deleted[d] = true;
             }
             if !deletes.is_empty() && self.num_predicates > 0 {
-                let codes = column_codes(&self.relation);
+                let (codes, _) = column_codes(&self.relation);
                 for &d in &deletes {
                     for other in (0..n_old).filter(|&o| o != d) {
                         self.pair(&codes, (d, other), Side::Retract, &mut net_change);
@@ -1035,7 +880,7 @@ mod tests {
             self.relation.append_rows(inserts).unwrap();
             let n_new = self.relation.len();
             if n_new > n_mid && self.num_predicates > 0 {
-                let codes = column_codes(&self.relation);
+                let (codes, _) = column_codes(&self.relation);
                 for i in n_mid..n_new {
                     for j in 0..i {
                         self.pair(&codes, (i, j), Side::Record, &mut net_change);
@@ -1080,32 +925,6 @@ mod tests {
                 pairs_scanned,
             }
         }
-    }
-
-    /// One random cell: nulls everywhere, NaN and ±0.0 in float columns, and
-    /// small domains shared across columns (so cross-column and Int/Float
-    /// cross-type groups are generated and `Sat`s collide).
-    fn edge_value(ty: AttributeType, rng: &mut StdRng) -> Value {
-        if rng.gen_bool(0.15) {
-            return Value::Null;
-        }
-        match ty {
-            AttributeType::Text => ["a", "b", "c", "d"][rng.gen_range(0..4)].into(),
-            AttributeType::Integer => Value::Int(rng.gen_range(-1..3)),
-            AttributeType::Float => match rng.gen_range(0..6) {
-                0 => Value::Float(f64::NAN),
-                1 => Value::Float(-0.0),
-                2 => Value::Float(0.0),
-                3 => Value::Float(0.5),
-                _ => Value::Int(rng.gen_range(-1..3)),
-            },
-        }
-    }
-
-    fn edge_row(schema: &Schema, rng: &mut StdRng) -> Vec<Value> {
-        (0..schema.arity())
-            .map(|c| edge_value(schema.attribute(c).ty(), rng))
-            .collect()
     }
 
     /// `maintained` equals `fresh` cell for cell: numeric codes bit for bit
@@ -1191,7 +1010,7 @@ mod tests {
                 prop_assert_eq!(&delta, &expected);
                 prop_assert_eq!(builder.evidence_set(), reference.acc.current());
                 prop_assert_eq!(builder.vios(), reference.vios.as_ref());
-                assert_codes_match(&builder.codes, &column_codes(builder.relation()));
+                assert_codes_match(&builder.codes, &column_codes(builder.relation()).0);
             }
         }
     }

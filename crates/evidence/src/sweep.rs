@@ -367,7 +367,7 @@ impl SweepPlan {
     /// by all workers.
     fn prepare(relation: &Relation, space: &PredicateSpace, track_vios: bool) -> SweepPlan {
         let n = relation.len();
-        let codes = column_codes(relation);
+        let (codes, _) = column_codes(relation);
         let groups = group_masks(space);
         let num_cols = codes.len();
 
